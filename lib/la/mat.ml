@@ -181,7 +181,15 @@ let trace m =
   done;
   !s
 
-let norm_fro m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
+(* A plain loop: the accumulator stays unboxed (Array.fold_left would
+   box it on every element without flambda). Same summation order. *)
+let norm_fro m =
+  let s = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    let x = m.data.(k) in
+    s := !s +. (x *. x)
+  done;
+  sqrt !s
 
 let norm_inf m =
   let best = ref 0.0 in

@@ -4,7 +4,25 @@
     acting on k-fold Kronecker products — the QLDAE quadratic coupling
     [G2] (arity 2) and cubic coupling [G3] (arity 3). Circuit-derived
     couplings are extremely sparse, so every contraction here is
-    [O(nnz)] instead of [O(m n^k)]. *)
+    [O(nnz)] instead of [O(m n^k)].
+
+    Every constructor ([create], [zero], [scale], [add], [of_dense],
+    [symmetrize]) builds two stored forms once:
+
+    - the {b COO form}: the [(row, indices, coeff)] triplets as given,
+      one per stored position. [apply_flat], [apply_flat_complex],
+      [apply_kron], [project], [to_dense] and [entries] use it, so
+      contractions against distinct arguments see exactly the stored
+      (e.g. symmetrized) coefficients;
+    - the {b polynomial form}: one monomial per distinct sorted
+      multi-index ([i ≤ j], or [i ≤ j ≤ l]) with its coefficients
+      summed over all permutations, in flat CSR arrays (monomial
+      variables, row pointer, output rows, coefficients). [apply_pow]
+      and [jacobian_add] use only it. It is exact for any tensor,
+      symmetric or not, because [x^⊗k] is symmetric; for the dense
+      projected couplings of a ROM it stores [q(q+1)/2] (or
+      [q(q+1)(q+2)/6]) monomials instead of [q²] ([q³]) triplets per
+      row. *)
 
 type t
 
@@ -19,8 +37,12 @@ val n_out : t -> int
 val n_in : t -> int
 val arity : t -> int
 
-(** Number of stored triplets. *)
+(** Number of stored triplets (COO form). *)
 val nnz : t -> int
+
+(** Number of distinct monomials with a non-zero coefficient
+    (polynomial form). *)
+val monomials : t -> int
 
 val is_zero : t -> bool
 
@@ -40,11 +62,13 @@ val apply_flat_complex : t -> Cvec.t -> Cvec.t
     forming the Kronecker product. *)
 val apply_kron : t -> Vec.t array -> Vec.t
 
-(** [apply_pow t x] is [M x^⊗k]. *)
+(** [apply_pow t x] is [M x^⊗k], evaluated over the polynomial form:
+    each monomial once, then scattered into its rows. Charges
+    [(k−1)·monomials + 2·terms] tensor flops. *)
 val apply_pow : t -> Vec.t -> Vec.t
 
 (** [jacobian_add t x jac] adds the Jacobian of [x ↦ M x^⊗k] at [x]
-    into [jac]. *)
+    into [jac], over the polynomial form. *)
 val jacobian_add : t -> Vec.t -> Mat.t -> unit
 
 (** Dense [m × n^k] matrix — small systems and tests only. *)

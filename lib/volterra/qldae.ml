@@ -19,7 +19,25 @@ type t = {
   d1 : Mat.t array;  (* one n x n matrix per input (all zero allowed) *)
   b : Mat.t;  (* n x m input map *)
   c : Mat.t;  (* p x n output map *)
+  d1_nonzero : bool array;  (* per input: D1_i has a non-zero entry *)
+  b_cols : Vec.t array;  (* the m columns of b *)
 }
+
+(* The one constructor: every system, made or derived, caches its
+   per-input structure here so [rhs]/[jacobian] never rescan it. *)
+let build ~g1 ~g2 ~g3 ~d1 ~b ~c =
+  {
+    n = Mat.rows g1;
+    m = Mat.cols b;
+    g1;
+    g2;
+    g3;
+    d1;
+    b;
+    c;
+    d1_nonzero = Array.map (fun d -> Mat.norm_fro d > 0.0) d1;
+    b_cols = Array.init (Mat.cols b) (Mat.col b);
+  }
 
 let validate t =
   Contract.require_dims "Qldae.validate: G1" ~expected:(t.n, t.n)
@@ -67,7 +85,7 @@ let make ?g2 ?g3 ?d1 ~g1 ~b ~c () =
   let d1 =
     match d1 with Some d -> d | None -> Array.init m (fun _ -> Mat.create n n)
   in
-  validate { n; m; g1; g2; g3; d1; b; c }
+  validate (build ~g1 ~g2 ~g3 ~d1 ~b ~c)
 
 let dim t = t.n
 
@@ -75,14 +93,14 @@ let n_inputs t = t.m
 
 let n_outputs t = Mat.rows t.c
 
-let has_d1 t = Array.exists (fun d -> Mat.norm_fro d > 0.0) t.d1
+let has_d1 t = Array.exists Fun.id t.d1_nonzero
 
 let has_g2 t = not (Sptensor.is_zero t.g2)
 
 let has_g3 t = not (Sptensor.is_zero t.g3)
 
 (* Input column i of b. *)
-let b_col t i = Mat.col t.b i
+let b_col t i = Vec.copy t.b_cols.(i)
 
 (* Right-hand side x' = f(x, u). *)
 let rhs t (x : Vec.t) (u : Vec.t) : Vec.t =
@@ -102,8 +120,8 @@ let rhs t (x : Vec.t) (u : Vec.t) : Vec.t =
   for i = 0 to t.m - 1 do
     let ui = u.(i) in
     if Contract.nonzero ui then begin
-      Vec.axpy ~alpha:ui (Mat.col t.b i) out;
-      if Mat.norm_fro t.d1.(i) > 0.0 then
+      Vec.axpy ~alpha:ui t.b_cols.(i) out;
+      if t.d1_nonzero.(i) then
         Vec.axpy ~alpha:ui (Mat.mul_vec t.d1.(i) x) out
     end
   done;
@@ -114,13 +132,15 @@ let jacobian t (x : Vec.t) (u : Vec.t) : Mat.t =
   let j = Mat.copy t.g1 in
   if has_g2 t then Sptensor.jacobian_add t.g2 x j;
   if has_g3 t then Sptensor.jacobian_add t.g3 x j;
+  let jd = Mat.data j in
   for i = 0 to t.m - 1 do
-    if Contract.nonzero u.(i) then
-      for r = 0 to t.n - 1 do
-        for c = 0 to t.n - 1 do
-          Mat.add_to j r c (u.(i) *. Mat.get t.d1.(i) r c)
-        done
+    let ui = u.(i) in
+    if t.d1_nonzero.(i) && Contract.nonzero ui then begin
+      let dd = Mat.data t.d1.(i) in
+      for k = 0 to Array.length jd - 1 do
+        jd.(k) <- jd.(k) +. (ui *. dd.(k))
       done
+    end
   done;
   j
 
@@ -243,16 +263,7 @@ let shift_equilibrium t ~(x0 : Vec.t) ~(u0 : Vec.t) : t =
         Mat.get t.b r i +. Vec.dot (Mat.row t.d1.(i) r) x0)
   in
   validate
-    {
-      n = t.n;
-      m = t.m;
-      g1;
-      g2 = Sptensor.symmetrize g2;
-      g3 = t.g3;
-      d1 = t.d1;
-      b;
-      c = t.c;
-    }
+    (build ~g1 ~g2:(Sptensor.symmetrize g2) ~g3:t.g3 ~d1:t.d1 ~b ~c:t.c)
 
 (* Petrov-Galerkin (oblique) projection with test basis W and trial
    basis V, assumed bi-orthogonal (Wᵀ V = I): the reduced model follows
@@ -309,7 +320,7 @@ let project_petrov t ~(w : Mat.t) ~(v : Mat.t) : t =
   let d1 = Array.map (fun d -> Mat.mul wt (Mat.mul d v)) t.d1 in
   let b = Mat.mul wt t.b in
   let c = Mat.mul t.c v in
-  { n = q; m = t.m; g1; g2; g3; d1; b; c }
+  build ~g1 ~g2 ~g3 ~d1 ~b ~c
 
 (* Galerkin projection onto an orthonormal basis V (n x q):
    G1r = Vᵀ G1 V, G2r = Vᵀ G2 (V⊗V), G3r = Vᵀ G3 (V⊗V⊗V),
@@ -335,4 +346,4 @@ let project t (v : Mat.t) : t =
   let d1 = Array.map (fun d -> Mat.mul vt (Mat.mul d v)) t.d1 in
   let b = Mat.mul vt t.b in
   let c = Mat.mul t.c v in
-  { n = q; m = t.m; g1; g2; g3; d1; b; c }
+  build ~g1 ~g2 ~g3 ~d1 ~b ~c

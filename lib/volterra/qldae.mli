@@ -10,7 +10,11 @@
 
 open La
 
-type t = {
+(** Fields are readable but the record is private: every value is
+    built by [make], [project], [project_petrov] or
+    [shift_equilibrium], which fill the cached per-input fields, so a
+    functional update cannot leave them stale. *)
+type t = private {
   n : int;
   m : int;
   g1 : Mat.t;
@@ -19,6 +23,8 @@ type t = {
   d1 : Mat.t array;
   b : Mat.t;
   c : Mat.t;
+  d1_nonzero : bool array;  (** per input: [D1_i] has a non-zero entry *)
+  b_cols : Vec.t array;  (** the columns of [b] *)
 }
 
 (** Build a system; omitted couplings default to zero. [g2]/[g3] are

@@ -505,6 +505,177 @@ let test_sptensor_symmetrize () =
   check_float "coeff split" 1.0 (Mat.get d 0 1) 1e-12;
   check_float "coeff split" 1.0 (Mat.get d 0 2) 1e-12
 
+(* ---------- Sptensor polynomial form vs dense references ----------
+
+   [apply_pow]/[jacobian_add] run over the compiled polynomial form
+   only; these references never touch it: [to_dense] times an explicit
+   x⊗x(⊗x), and a central difference of [apply_pow] for the Jacobian.
+   The central difference is Richardson-extrapolated over steps 1 and
+   1/2, which is exact for polynomials of degree ≤ 4, so both checks
+   hold to rounding (1e-12 relative to the absolute-value scale
+   [|M| |x|^⊗k]). *)
+
+let rel_tol = 1e-12
+
+let dense_apply t x =
+  Mat.mul_vec (Sptensor.to_dense t) (Kron.vec_pow x (Sptensor.arity t))
+
+(* ‖ |M| |x|^⊗k ‖∞: the size of the terms summed, so cancellation in
+   the result does not make the tolerance meaningless. *)
+let abs_scale t x =
+  let abs_m = Mat.map Float.abs (Sptensor.to_dense t) in
+  Vec.norm_inf (Mat.mul_vec abs_m (Kron.vec_pow (Vec.map Float.abs x) (Sptensor.arity t)))
+
+let check_rel name ~scale err =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (err %.3e, scale %.3e)" name err scale)
+    true
+    (if scale > 0.0 then err <= rel_tol *. scale else Contract.is_zero err)
+
+let check_apply_pow name t x =
+  let err = Vec.norm_inf (Vec.sub (Sptensor.apply_pow t x) (dense_apply t x)) in
+  check_rel (name ^ ": apply_pow vs to_dense x^⊗k") ~scale:(abs_scale t x) err
+
+(* J h by the extrapolated central difference of apply_pow. *)
+let fd_jvp t x h =
+  let f = Sptensor.apply_pow t in
+  let central eps =
+    Vec.scale (0.5 /. eps)
+      (Vec.sub (f (Vec.add x (Vec.scale eps h))) (f (Vec.sub x (Vec.scale eps h))))
+  in
+  Vec.scale (1.0 /. 3.0) (Vec.sub (Vec.scale 4.0 (central 0.5)) (central 1.0))
+
+let check_jacobian name t x =
+  let n_in = Sptensor.n_in t and n_out = Sptensor.n_out t in
+  (* start from a non-zero matrix: jacobian_add must add, not overwrite *)
+  let base = Mat.random ~rng n_out n_in in
+  let jac = Mat.copy base in
+  Sptensor.jacobian_add t x jac;
+  let scale = abs_scale t (Vec.map (fun v -> Float.abs v +. 1.0) x) in
+  for j = 0 to n_in - 1 do
+    let h = Vec.basis n_in j in
+    let got = Vec.sub (Mat.col jac j) (Mat.col base j) in
+    let err = Vec.norm_inf (Vec.sub got (fd_jvp t x h)) in
+    check_rel (Printf.sprintf "%s: jacobian column %d vs central difference" name j)
+      ~scale:(Float.max scale 1.0) err
+  done
+
+let random_entries ~n_out ~n_in ~arity count =
+  List.init count (fun _ ->
+      ( Random.State.int rng n_out,
+        Array.init arity (fun _ -> Random.State.int rng n_in),
+        Random.State.float rng 2.0 -. 1.0 ))
+
+(* Each grid case: unsymmetrized random entries plus explicit
+   duplicates and diagonal (x_i², x_i³, x_i² x_j) positions. *)
+let grid_tensor ~n_out ~n_in ~arity =
+  let diag =
+    List.init (min n_out n_in) (fun i ->
+        (i, Array.make arity i, 0.5 +. float_of_int i))
+  in
+  let mixed = (0, Array.init arity (fun a -> if a = 0 then 1 else 0), -0.75) in
+  let random = random_entries ~n_out ~n_in ~arity (3 * n_in) in
+  let dup = match random with e :: _ -> [ e; e ] | [] -> [] in
+  Sptensor.create ~n_out ~n_in ~arity ((mixed :: diag) @ random @ dup)
+
+let test_sptensor_poly_grid () =
+  List.iter
+    (fun (arity, n_out, n_in) ->
+      let name = Printf.sprintf "arity %d, %d <- %d" arity n_out n_in in
+      let t = grid_tensor ~n_out ~n_in ~arity in
+      let u = grid_tensor ~n_out ~n_in ~arity in
+      let cols = Array.length (Kron.vec_pow (Vec.create n_in) arity) in
+      let dense = Sptensor.of_dense ~arity ~n_in (Mat.random ~rng n_out cols) in
+      let cases =
+        [
+          ("create", t);
+          ("zero", Sptensor.zero ~n_out ~n_in ~arity);
+          ("scale", Sptensor.scale (-2.5) t);
+          ("add", Sptensor.add t u);
+          ("add zero", Sptensor.add t (Sptensor.zero ~n_out ~n_in ~arity));
+          ("symmetrize", Sptensor.symmetrize t);
+          ("of_dense", dense);
+          ("of_dense . to_dense", Sptensor.of_dense ~arity ~n_in (Sptensor.to_dense t));
+          ("symmetrize . of_dense", Sptensor.symmetrize dense);
+          ("scale . add", Sptensor.scale 0.3 (Sptensor.add dense t));
+        ]
+      in
+      List.iter
+        (fun (kind, t) ->
+          for trial = 1 to 3 do
+            let x = Mat.random_vec ~rng n_in in
+            let name = Printf.sprintf "%s, %s, trial %d" name kind trial in
+            check_apply_pow name t x;
+            check_jacobian name t x
+          done)
+        cases)
+    [ (2, 3, 5); (2, 6, 4); (2, 4, 4); (3, 3, 4); (3, 5, 3); (3, 4, 4) ]
+
+let test_sptensor_poly_compaction () =
+  (* a dense projected coupling keeps one monomial per sorted
+     multi-index: q(q+1)/2 at k=2, q(q+1)(q+2)/6 at k=3 *)
+  let g2 = Sptensor.of_dense ~arity:2 ~n_in:11 (Mat.random ~rng 11 121) in
+  Alcotest.(check int) "G2r triplets" 1331 (Sptensor.nnz g2);
+  Alcotest.(check int) "G2r monomials" 66 (Sptensor.monomials g2);
+  let g3 = Sptensor.of_dense ~arity:3 ~n_in:8 (Mat.random ~rng 8 512) in
+  Alcotest.(check int) "G3r triplets" 4096 (Sptensor.nnz g3);
+  Alcotest.(check int) "G3r monomials" 120 (Sptensor.monomials g3);
+  (* duplicates and permutations of one position fold into one
+     monomial; an exactly cancelling pair leaves none *)
+  let t =
+    Sptensor.create ~n_out:2 ~n_in:3 ~arity:2
+      [ (0, [| 2; 1 |], 1.0); (0, [| 1; 2 |], 2.0); (1, [| 0; 0 |], 1.5); (1, [| 0; 0 |], -1.5) ]
+  in
+  Alcotest.(check int) "folded monomials" 1 (Sptensor.monomials t);
+  Alcotest.(check int) "triplets kept" 4 (Sptensor.nnz t);
+  Alcotest.(check int) "zero tensor" 0
+    (Sptensor.monomials (Sptensor.zero ~n_out:3 ~n_in:3 ~arity:3))
+
+(* [Qldae.rhs] of derived systems against the QLDAE formula written out
+   from the record's own fields, so the cached per-input columns and
+   D1 flags cannot drift from [b]/[d1]. *)
+let rhs_formula (q : Volterra.Qldae.t) x u =
+  let open Volterra.Qldae in
+  let out = Mat.mul_vec q.g1 x in
+  let add v = Array.iteri (fun i vi -> out.(i) <- out.(i) +. vi) v in
+  add (Mat.mul_vec (Sptensor.to_dense q.g2) (Kron.vec_pow x 2));
+  add (Mat.mul_vec (Sptensor.to_dense q.g3) (Kron.vec_pow x 3));
+  for i = 0 to q.m - 1 do
+    add (Vec.scale u.(i) (Mat.col q.b i));
+    add (Vec.scale u.(i) (Mat.mul_vec q.d1.(i) x))
+  done;
+  out
+
+let test_qldae_rhs_formula () =
+  let n = 6 in
+  let g1 = random_stable n in
+  let g2 = Sptensor.of_dense ~arity:2 ~n_in:n (Mat.scale 0.2 (Mat.random ~rng n (n * n))) in
+  let g3 = Sptensor.create ~n_out:n ~n_in:n ~arity:3 (random_entries ~n_out:n ~n_in:n ~arity:3 10) in
+  (* input 0 has a D1, input 1 has none *)
+  let d1 = [| Mat.scale 0.3 (Mat.random ~rng n n); Mat.create n n |] in
+  let b = Mat.random ~rng n 2 and c = Mat.random ~rng 1 n in
+  let full = Volterra.Qldae.make ~g2 ~g3 ~d1 ~g1 ~b ~c () in
+  let v = Qr.orth_mat (List.init 4 (fun _ -> Mat.random_vec ~rng n)) in
+  let rom = Volterra.Qldae.project full v in
+  let u0 = Vec.of_list [ 0.05; -0.02 ] in
+  let x0 = Volterra.Qldae.dc_operating_point full ~u0 in
+  let shifted = Volterra.Qldae.shift_equilibrium full ~x0 ~u0 in
+  let rom_shifted = Volterra.Qldae.project shifted v in
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check (array bool))
+        (name ^ ": D1 flags") [| true; false |] q.Volterra.Qldae.d1_nonzero;
+      for trial = 1 to 4 do
+        let x = Mat.random_vec ~rng (Volterra.Qldae.dim q) in
+        let u = if trial = 1 then Vec.create 2 else Mat.random_vec ~rng 2 in
+        let expect = rhs_formula q x u in
+        let err = Vec.norm_inf (Vec.sub (Volterra.Qldae.rhs q x u) expect) in
+        check_rel (Printf.sprintf "%s: rhs vs field formula, trial %d" name trial)
+          ~scale:(Float.max 1.0 (Vec.norm_inf expect)) err
+      done)
+    [ ("full", full); ("project", rom); ("shift_equilibrium", shifted);
+      ("project . shift_equilibrium", rom_shifted) ]
+
 (* ---------- qcheck properties ---------- *)
 
 let small_mat_gen n =
@@ -656,6 +827,9 @@ let suite =
         tc "jacobian vs finite differences" `Quick test_sptensor_jacobian;
         tc "projection" `Quick test_sptensor_project;
         tc "symmetrize" `Quick test_sptensor_symmetrize;
+        tc "polynomial form vs dense references" `Quick test_sptensor_poly_grid;
+        tc "polynomial form compaction" `Quick test_sptensor_poly_compaction;
+        tc "Qldae.rhs vs its field formula" `Quick test_qldae_rhs_formula;
       ] );
     ( "la.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -87,7 +87,7 @@ let budget_overheads : (string * float) list ref = ref []
    actually show one. *)
 let par_stats : (int * (string * float) list) option ref = ref None
 
-(* Request-latency distribution over N scoped fig2-ROM simulates
+(* Request-latency distribution over N timed fig2-ROM simulates
    (latency pass below): wall p50/p99 plus the deterministic Qhist
    fingerprint — synthetic values through the same bucket geometry —
    whose counts and quantiles the gate pins with exact bands. *)
@@ -666,7 +666,7 @@ let recovery_overhead () =
 (* ---- observability-layer overhead ---- *)
 
 (* The disabled instrumentation must be almost free: counters enabled
-   against [Obs.Metrics.set_enabled false] (the genuinely
+   against [Obs.Counters.set_enabled false] (the genuinely
    uninstrumented baseline) with the null sink in both cases, on a
    full reduction and on a tight matvec loop (the hottest counter
    site). Budget: <2% per DESIGN.md §8; test/test_obs.ml asserts the
@@ -677,16 +677,11 @@ let obs_overhead () =
     Circuit.Models.qldae (Circuit.Models.nltl ~stages:30 ~source:(`Voltage 1.0) ())
   in
   let orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 1 } in
-  (* toggle the event counters and the Cost work counters together —
-     the disabled side must be the genuinely uninstrumented baseline *)
+  (* one flag gates the event counters and the Cost work counters —
+     the disabled side is the genuinely uninstrumented baseline *)
   let with_metrics enabled f =
-    Obs.Metrics.set_enabled enabled;
-    Obs.Cost.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Metrics.set_enabled true;
-        Obs.Cost.set_enabled true)
-      f
+    Obs.Counters.set_enabled enabled;
+    Fun.protect ~finally:(fun () -> Obs.Counters.set_enabled true) f
   in
   (* interleave disabled/enabled passes so warm-up and GC drift hit
      both sides equally; best-of across rounds *)
@@ -879,12 +874,11 @@ let par_speedup ~scale () =
     cores serial w1 overhead1 w2 w4 speedup4;
   Printf.printf "(written to %s)\n\n%!" path
 
-(* ---- request latency (scoped fig2 simulates) ---- *)
+(* ---- request latency (timed fig2 simulates) ---- *)
 
 (* The service-loop shape: reduce the fig2 NLTL once, then answer N
-   repeated simulate requests out of the ROM, each inside an
-   [Obs.Scope] — the per-request telemetry primitive — so the
-   "scope.bench.request" Qhist accumulates a genuine latency
+   repeated simulate requests out of the ROM, each timed into the
+   "scope.bench.request" Qhist.  That histogram holds a genuine latency
    distribution whose p50/p99 land in bench.json for the gate's banded
    wall checks.
 
@@ -895,13 +889,19 @@ let par_speedup ~scale () =
    through the same Qhist geometry, recording bucket-population count
    and p50/p90/p99.  Any drift in bucket indexing, merge arithmetic or
    quantile interpolation moves these and fails the gate. *)
+(* Run [f], feeding its wall time into the "scope.<name>" Qhist. *)
+let timed name f =
+  let v, dt = Obs.Clock.time f in
+  Obs.Qhist.observe ("scope." ^ name) dt;
+  v
+
 let latency ~scale () =
-  Printf.printf "== request latency (scoped fig2-ROM simulates) ==\n%!";
+  Printf.printf "== request latency (timed fig2-ROM simulates) ==\n%!";
   let stages = max 4 (int_of_float (50.0 *. scale)) in
   let q = Circuit.Models.qldae (Circuit.Models.nltl_voltage ~stages ()) in
   let orders = { Mor.Atmor.k1 = 6; k2 = 3; k3 = 2 } in
   let r =
-    Obs.Scope.with_ ~name:"bench.reduce" (fun () -> Vmor.reduce ~orders q)
+    timed "bench.reduce" (fun () -> Vmor.reduce ~orders q)
   in
   let rom = Vmor.rom r in
   let input =
@@ -911,14 +911,14 @@ let latency ~scale () =
   in
   let requests = 32 in
   for _ = 1 to requests do
-    Obs.Scope.with_ ~name:"bench.request" (fun () ->
+    timed "bench.request" (fun () ->
         ignore
           (Sys.opaque_identity (Vmor.transient ~samples:101 rom ~input ~t1:30.0)))
   done;
   let view =
     match Obs.Qhist.view "scope.bench.request" with
     | Some v -> v
-    | None -> assert false (* scopes always feed the Qhist *)
+    | None -> assert false (* [timed] always feeds the Qhist *)
   in
   let p50 = Obs.Qhist.quantile view 0.5 in
   let p99 = Obs.Qhist.quantile view 0.99 in

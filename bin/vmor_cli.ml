@@ -392,6 +392,11 @@ let compare_cmd =
       $ metrics_arg $ deadline_arg $ max_steps_arg $ max_iters_arg
       $ domains_arg $ const ())
 
+let load_trace path =
+  try Obs.Trace.load path with
+  | Obs.Trace.Malformed msg -> raise (Usage_error (path ^ ": " ^ msg))
+  | Sys_error msg -> raise (Usage_error msg)
+
 let trace_cmd =
   let out_arg =
     let doc = "Trace output path." in
@@ -402,18 +407,7 @@ let trace_cmd =
     setup_logs (Some Logs.Warning);
     Robust.Budget.with_budget (budget_of ~deadline ~max_steps ~max_iters)
     @@ fun () ->
-    (* Tee spans into the JSONL file and an in-memory capture, so the
-       command can both persist the trace and summarize it. *)
-    let mem, captured = Obs.Sink.memory () in
-    let js = Obs.Sink.jsonl_file out in
-    Obs.Sink.set
-      {
-        Obs.Sink.on_span =
-          (fun r -> mem.Obs.Sink.on_span r; js.Obs.Sink.on_span r);
-        on_event = (fun r -> mem.Obs.Sink.on_event r; js.Obs.Sink.on_event r);
-        on_scope = (fun r -> mem.Obs.Sink.on_scope r; js.Obs.Sink.on_scope r);
-        flush = (fun () -> js.Obs.Sink.flush ());
-      };
+    Obs.Sink.set (Obs.Sink.jsonl_file out);
     let q = build_model ~scale model in
     let k1, k2, k3 = orders in
     let options =
@@ -422,13 +416,16 @@ let trace_cmd =
     let r = Vmor.reduce ~options ~orders:{ k1; k2; k3 } q in
     let input = default_input q ~freq ~amp in
     let c = Vmor.compare_transient ~samples q r ~input ~t1 in
+    (* Detaching the sink flushes the file; the summary below reads the
+       trace back, exactly as `vmor report` would. *)
     Obs.Sink.set Obs.Sink.null;
-    let { Obs.Sink.spans; events; scopes = _ } = captured () in
+    let t = load_trace out in
+    let spans = t.Obs.Trace.spans in
     Printf.printf
       "model %s: %d states -> %d, max rel error %.6f\n\
        trace: %d spans, %d events -> %s\n"
       model (Volterra.Qldae.dim q) (Vmor.order r) c.Vmor.max_rel_error
-      (List.length spans) (List.length events) out;
+      (List.length spans) (List.length t.Obs.Trace.events) out;
     Printf.printf "where the time went:\n";
     List.iter
       (fun (s : Obs.Sink.span_record) ->
@@ -440,11 +437,7 @@ let trace_cmd =
                 (fun (k, v) -> Printf.sprintf "%s=%d" k v)
                 s.Obs.Sink.counters)))
       (List.filter (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.depth <= 1) spans);
-    print_string
-      (Obs.Trace.render_health
-         (Obs.Trace.of_records
-            (List.map (fun s -> Obs.Trace.Span s) spans
-            @ List.map (fun e -> Obs.Trace.Event e) events)));
+    print_string (Obs.Trace.render_health t);
     prerr_string (Obs.Metrics.render_table ());
     finish_with_report (Vmor.degradation r)
   in
@@ -463,11 +456,6 @@ let trace_cmd =
       $ model_arg $ orders_arg $ method_arg $ points_arg $ s0_arg $ tol_arg
       $ scale_arg $ t1_arg $ samples_arg $ freq_arg $ amp_arg $ out_arg
       $ deadline_arg $ max_steps_arg $ max_iters_arg $ domains_arg $ const ())
-
-let load_trace path =
-  try Obs.Trace.load path with
-  | Obs.Trace.Malformed msg -> raise (Usage_error (path ^ ": " ^ msg))
-  | Sys_error msg -> raise (Usage_error msg)
 
 let report_cmd =
   let trace_file_arg =
@@ -592,26 +580,50 @@ let bench_history_cmd =
     let doc = "Emit machine-readable CSV instead of the table." in
     Arg.(value & flag & info [ "csv" ] ~doc)
   in
-  let run dir csv () =
-    setup_logs (Some Logs.Warning);
-    match Benchhistory.load_series ~dir with
-    | series ->
-      print_string
-        (if csv then Benchhistory.render_csv series
-         else Benchhistory.render_table series)
-    | exception Benchhistory.Bad_history m -> raise (Usage_error m)
-    | exception Sys_error m -> raise (Usage_error m)
+  let history f =
+    match f () with
+    | v -> v
+    | exception (Benchhistory.Bad_history m | Sys_error m) ->
+      raise (Usage_error m)
   in
-  Cmd.v
+  let render dir csv () =
+    setup_logs (Some Logs.Warning);
+    let series = history (fun () -> Benchhistory.load_series ~dir) in
+    print_string
+      (if csv then Benchhistory.render_csv series
+       else Benchhistory.render_table series)
+  in
+  let append =
+    let pr_arg =
+      let doc = "PR number the snapshot belongs to (non-negative)." in
+      Arg.(required & opt (some int) None & info [ "pr" ] ~docv:"N" ~doc)
+    in
+    let src_arg =
+      let doc = "A bench --json output file, validated by the gate parser." in
+      Arg.(required & opt (some string) None & info [ "src" ] ~docv:"FILE" ~doc)
+    in
+    let run pr src dir () =
+      if pr < 0 then raise (Usage_error "--pr must be >= 0");
+      let path = history (fun () -> Benchhistory.append ~pr ~src ~dir) in
+      Printf.printf "bench history: wrote %s\n" path
+    in
+    Cmd.v
+      (Cmd.info "append"
+         ~doc:"Snapshot a bench --json file as DIR/BENCH_<pr>.json.")
+      Term.(const (fun pr src dir -> guarded (run pr src dir))
+            $ pr_arg $ src_arg $ dir_arg $ const ())
+  in
+  Cmd.group
+    ~default:Term.(const (fun dir csv -> guarded (render dir csv))
+                   $ dir_arg $ csv_arg $ const ())
     (Cmd.info "bench-history"
        ~doc:
          "Render the per-PR bench trajectory (wall time, nominal flops, \
           flops/s, ROM orders, accuracy) from committed BENCH_<pr>.json \
-          snapshots.")
-    Term.(const (fun dir csv -> guarded (run dir csv)) $ dir_arg $ csv_arg
-          $ const ())
+          snapshots; $(b,append) adds a snapshot.")
+    [ append ]
 
-(* Service-shaped telemetry export: reduce once, answer N scoped
+(* Service-shaped telemetry export: reduce once, answer N timed
    simulate requests out of the ROM, then render the OpenMetrics
    exposition.  The workload mirrors the bench `latency` pass, so the
    scraped histogram families carry genuine request-latency
@@ -620,9 +632,8 @@ let bench_history_cmd =
 let metrics_cmd =
   let requests_arg =
     let doc =
-      "Scoped ROM simulate requests to run before the export (each is a \
-       $(b,Scope) named `request', feeding the vmor_hist_scope_request \
-       histogram)."
+      "ROM simulate requests to run before the export (each one's wall \
+       time feeds the vmor_hist_scope_request histogram)."
     in
     Arg.(value & opt int 8 & info [ "requests" ] ~docv:"N" ~doc)
   in
@@ -641,15 +652,17 @@ let metrics_cmd =
     let options =
       build_options ~method_ ~points ?s0 ~tol ?domains:(domains_of domains) ()
     in
-    let r =
-      Obs.Scope.with_ ~name:"reduce" (fun () ->
-          Vmor.reduce ~options ~orders:{ k1; k2; k3 } q)
+    (* Time one unit of work into the "scope.<name>" latency Qhist. *)
+    let timed name f =
+      let v, dt = Obs.Clock.time f in
+      Obs.Qhist.observe ("scope." ^ name) dt;
+      v
     in
+    let r = timed "reduce" (fun () -> Vmor.reduce ~options ~orders:{ k1; k2; k3 } q) in
     let rom = Vmor.rom r in
     let input = default_input q ~freq ~amp in
     for _i = 1 to requests do
-      Obs.Scope.with_ ~name:"request" (fun () ->
-          ignore (Vmor.transient ~samples rom ~input ~t1))
+      timed "request" (fun () -> ignore (Vmor.transient ~samples rom ~input ~t1))
     done;
     let text = Obs.Openmetrics.render () in
     (match Obs.Openmetrics.validate text with
@@ -676,7 +689,7 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Run a service-shaped workload (reduce once, N scoped ROM simulate \
+         "Run a service-shaped workload (reduce once, N timed ROM simulate \
           requests) and export the OpenMetrics/Prometheus text exposition \
           (counters, cost counters, gauges, latency histograms).")
     Term.(

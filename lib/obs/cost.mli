@@ -1,7 +1,7 @@
 (** Deterministic work accounting: nominal flop and byte counters.
 
-    The cost layer is [Metrics]' exact sibling — per-domain
-    [Domain.DLS] accumulators merged exactly on read — but counts
+    The cost layer is [Metrics]' exact sibling — its counters share
+    the {!Counters} registry (indices [12..23]) — but counts
     *work* instead of events: floating-point operations and bytes
     moved, charged as closed-form ({e nominal}) functions of operand
     dimensions at each kernel call.  Because a charge never depends on
@@ -41,20 +41,16 @@ val of_name : string -> counter option
 val is_flops : counter -> bool
 (** [true] for the [Flops_*] counters, [false] for the byte movers. *)
 
-val set_enabled : bool -> unit
-(** [set_enabled false] turns every charge into a no-op — the genuine
-    uninstrumented baseline for the overhead benchmark.  Charges are
-    enabled by default. *)
-
-val is_enabled : unit -> bool
+val index : counter -> int
+(** Slot in the {!Counters} registry, in [[12, 24)]. *)
 
 val charge : ?read:int -> ?written:int -> counter -> int -> unit
 (** [charge c flops] adds [flops] to [c] on the calling domain's
     accumulator; [?read]/[?written] additionally move that many
-    {e 8-byte words} onto {!Bytes_read}/{!Bytes_written}.  All
-    arguments must be nominal — computed from dimensions, never from
-    data — or the exact-band gate and the determinism tests will
-    fail. *)
+    {e 8-byte words} onto {!Bytes_read}/{!Bytes_written}.  No-op
+    while [Counters.set_enabled false].  All arguments must be nominal
+    — computed from dimensions, never from data — or the exact-band
+    gate and the determinism tests will fail. *)
 
 val get : counter -> int
 (** Merged process-wide total for one counter. *)
@@ -66,20 +62,6 @@ val snapshot : unit -> snapshot
 
 val since : snapshot -> (counter * int) list
 (** Nonzero deltas accumulated since the snapshot, in {!all} order. *)
-
-type local_snapshot
-(** The calling domain's own accumulator at a point in time. *)
-
-val local_snapshot : unit -> local_snapshot
-(** Copy the calling domain's cost array — no lock, no merge.  Same
-    contract as [Metrics.local_snapshot]: exact on the snapshotting
-    domain even while other domains run ({!Scope}'s primitive). *)
-
-val local_since : local_snapshot -> (counter * int) list
-(** Nonzero deltas on the calling domain since [local_snapshot]. *)
-
-val reset : unit -> unit
-(** Zero every registered per-domain accumulator. *)
 
 val total_flops : (counter * int) list -> int
 (** Sum of the [Flops_*] entries of a delta list. *)

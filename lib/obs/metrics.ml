@@ -1,18 +1,11 @@
 (* Process-wide kernel counters, gauges and histograms.
 
-   Counters are the hot primitive: each domain accumulates into its own
-   flat int array held in a [Domain.DLS] slot, so an increment is one
-   atomic-flag load, one DLS fetch and one bounds-checked store — no
-   lock, no contention, no false sharing between domains.  Readers
-   merge every registered per-domain array under [mu]; after
-   [Domain.join] the merge is exact because the child's publishes
-   happen-before the join.
-
-   [set_enabled false] turns every recording operation into a no-op,
-   which gives the overhead benchmark a genuine uninstrumented
-   baseline.  Gauges and histograms are string-keyed, only touched on
-   cold paths (end of a reduction, end of a simulation), and guarded
-   by the same mutex. *)
+   Counters are the hot primitive and live in the shared [Counters]
+   registry at indices 0..11: an increment is one atomic-flag load, one
+   DLS fetch and one bounds-checked store.  Gauges and histograms are
+   string-keyed, only touched on cold paths (end of a reduction, end
+   of a simulation); gauges are guarded by their own mutex, and every
+   recording operation honours the registry's counting flag. *)
 
 type counter =
   | Lu_factor
@@ -27,8 +20,6 @@ type counter =
   | Ladder_attempt
   | Recovery_event
   | Budget_poll
-
-let n_counters = 12
 
 let index = function
   | Lu_factor -> 0
@@ -63,56 +54,29 @@ let all =
     Deflation_discard; Ode_step; Ode_rejected; Newton_iter;
     Ladder_attempt; Recovery_event; Budget_poll ]
 
-let mu = Mutex.create ()
-
-(* Every per-domain counter array ever handed out.  Arrays outlive
-   their domain so joined children keep contributing to the merge. *)
-let domains : int array list ref = ref [] [@@vmor.sync "guarded by mu"]
-
-let slot =
-  Domain.DLS.new_key (fun () ->
-      let a = Array.make n_counters 0 in
-      Mutex.protect mu (fun () -> domains := a :: !domains);
-      a)
-
-let enabled = Atomic.make true
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 let incr ?(by = 1) c =
-  if Atomic.get enabled then begin
-    let a = Domain.DLS.get slot in
+  if Atomic.get Counters.enabled then begin
+    let a = Domain.DLS.get Counters.slot in
     let i = index c in
     a.(i) <- a.(i) + by
   end
 
-(* Merge-on-read: sum every registered domain's array under the lock. *)
-let merged () =
-  Mutex.protect mu (fun () ->
-      let out = Array.make n_counters 0 in
-      List.iter
-        (fun a ->
-          for i = 0 to n_counters - 1 do
-            out.(i) <- out.(i) + a.(i)
-          done)
-        !domains;
-      out)
-
-let get c = (merged ()).(index c)
+let get c = (Counters.merged ()).(index c)
 
 (* ------------------------------------------------------------------ *)
 (* Gauges: last-write-wins named floats.                              *)
 
+let gauge_mu = Mutex.create ()
+
 let gauge_tbl : (string, float) Hashtbl.t =
-  Hashtbl.create 16 [@@vmor.sync "guarded by mu"]
+  Hashtbl.create 16 [@@vmor.sync "guarded by gauge_mu"]
 
 let set_gauge k v =
-  if Atomic.get enabled then
-    Mutex.protect mu (fun () -> Hashtbl.replace gauge_tbl k v)
+  if Atomic.get Counters.enabled then
+    Mutex.protect gauge_mu (fun () -> Hashtbl.replace gauge_tbl k v)
 
 let gauges () =
-  Mutex.protect mu (fun () ->
+  Mutex.protect gauge_mu (fun () ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauge_tbl [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -122,7 +86,7 @@ let gauges () =
 type hstat = { count : int; sum : float; sumsq : float;
                minv : float; maxv : float }
 
-let observe k v = if Atomic.get enabled then Qhist.observe k v
+let observe k v = if Atomic.get Counters.enabled then Qhist.observe k v
 
 let hstat_of_view (v : Qhist.view) =
   { count = v.Qhist.count; sum = v.Qhist.sum; sumsq = v.Qhist.sumsq;
@@ -143,42 +107,14 @@ let hstddev (h : hstat) =
 
 type snapshot = int array
 
-let snapshot () = merged ()
+let snapshot = Counters.merged
 
-let since (snap : snapshot) =
-  let now = merged () in
-  List.filter_map
-    (fun c ->
-      let d = now.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
+let since snap = Counters.nonzero index all snap (Counters.merged ())
 
 let reset () =
-  Mutex.protect mu (fun () ->
-      List.iter (fun a -> Array.fill a 0 n_counters 0) !domains;
-      Hashtbl.reset gauge_tbl);
+  Counters.reset ();
+  Mutex.protect gauge_mu (fun () -> Hashtbl.reset gauge_tbl);
   Qhist.reset ()
-
-(* ------------------------------------------------------------------ *)
-(* Domain-local snapshots (the [Scope] primitive).
-
-   [local_snapshot] copies only the calling domain's accumulator —
-   no lock, no merge — and [local_since] diffs against it on the same
-   domain.  Because a domain's array is written by that domain alone,
-   the delta is exact even while other domains are running: this is
-   what keeps concurrent scopes from smearing each other's counts. *)
-
-type local_snapshot = int array
-
-let local_snapshot () = Array.copy (Domain.DLS.get slot)
-
-let local_since (snap : local_snapshot) =
-  let a = Domain.DLS.get slot in
-  List.filter_map
-    (fun c ->
-      let d = a.(index c) - snap.(index c) in
-      if d = 0 then None else Some (c, d))
-    all
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                         *)
@@ -187,7 +123,7 @@ let local_since (snap : local_snapshot) =
    rows carry their single value in [value] and leave the stat columns
    empty. *)
 let to_csv_string () =
-  let now = merged () in
+  let now = Counters.merged () in
   let b = Buffer.create 512 in
   Buffer.add_string b "kind,name,value,count,sum,sumsq,min,max,stddev\n";
   List.iter
@@ -213,7 +149,7 @@ let write_csv path =
   close_out oc
 
 let render_table () =
-  let now = merged () in
+  let now = Counters.merged () in
   let b = Buffer.create 512 in
   let rule = String.make 46 '-' in
   Buffer.add_string b "vmor metrics\n";

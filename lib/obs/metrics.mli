@@ -6,13 +6,10 @@
     (Arnoldi) iterations, deflation discards, ODE steps/rejections,
     Newton iterations and recovery-ladder attempts.
 
-    Counting is on by default and domain-safe: each domain increments
-    its own accumulator array (held in a [Domain.DLS] slot), and
-    readers merge all per-domain arrays under a mutex.  After
-    [Domain.join] the merged totals are exact; while other domains are
-    still running a read observes some interleaving of word-sized
-    stores, never a torn value.  [set_enabled false] makes every
-    recording operation a no-op, giving benchmarks an uninstrumented
+    The counters live in the shared {!Counters} registry (indices
+    [0..11]), which makes them domain-safe and exact after
+    [Domain.join]; [Counters.set_enabled false] makes every recording
+    operation here a no-op, giving benchmarks an uninstrumented
     baseline. *)
 
 type counter =
@@ -35,15 +32,13 @@ val all : counter list
 val name : counter -> string
 (** Stable snake_case name used in every sink format. *)
 
+val index : counter -> int
+(** Slot in the {!Counters} registry, in [[0, 12)]. *)
+
 val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1) to a counter; no-op when disabled. *)
 
 val get : counter -> int
-
-val set_enabled : bool -> unit
-(** Globally enable/disable all metric recording (default: enabled). *)
-
-val is_enabled : unit -> bool
 
 val set_gauge : string -> float -> unit
 (** Record a last-write-wins named value (e.g. ["reduced_order"]). *)
@@ -76,21 +71,9 @@ val snapshot : unit -> snapshot
 val since : snapshot -> (counter * int) list
 (** Counter deltas accumulated after [snapshot], nonzero ones only. *)
 
-type local_snapshot
-(** The calling domain's own accumulator at a point in time. *)
-
-val local_snapshot : unit -> local_snapshot
-(** Copy the calling domain's counter array — no lock, no merge.  The
-    {!Scope} primitive: because a domain's array is written by that
-    domain alone, a [local_since] delta taken on the same domain is
-    exact even while other domains run concurrently. *)
-
-val local_since : local_snapshot -> (counter * int) list
-(** Nonzero deltas on the calling domain since [local_snapshot].  Only
-    meaningful on the domain that took the snapshot. *)
-
 val reset : unit -> unit
-(** Zero all counters and drop all gauges/histograms. *)
+(** Zero every registry counter ({!Cost}'s included) and drop all
+    gauges/histograms. *)
 
 val to_csv_string : unit -> string
 (** CSV summary: [kind,name,value,count,sum,sumsq,min,max,stddev]

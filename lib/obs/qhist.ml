@@ -1,6 +1,6 @@
 (* Deterministic log-linear quantile histograms.
 
-   The same per-domain accumulator design as [Metrics]/[Cost], but the
+   The same per-domain accumulator design as [Counters], but the
    accumulated value is a fixed-geometry bucketed histogram per name:
    each domain owns a (name -> local) table held in a [Domain.DLS]
    slot, observations tick integer bucket counters in the owner's
@@ -64,8 +64,8 @@ let upper_bound i =
 (* Mixed int/float record: the float fields are boxed, so every store
    below is a single word-sized write — concurrent readers may observe
    a stale value mid-merge but never a torn one, exactly like the
-   [Metrics] counter arrays.  Exactness is claimed after [Domain.join]
-   (or for a domain's own table), same as [Metrics]. *)
+   [Counters] arrays.  Exactness is claimed after [Domain.join] (or
+   for a domain's own table), same as [Counters]. *)
 type local = {
   buckets : int array;
   mutable count : int;
@@ -100,31 +100,24 @@ let slot =
       Mutex.protect mu (fun () -> domains := tbl :: !domains);
       tbl)
 
-let enabled = Atomic.make true
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 let observe k v =
-  if Atomic.get enabled then begin
-    let tbl = Domain.DLS.get slot in
-    let h =
-      match Hashtbl.find_opt tbl k with
-      | Some h -> h
-      | None ->
-        let h = fresh_local () in
-        (* Insertion may resize the table; exclude concurrent mergers. *)
-        Mutex.protect mu (fun () -> Hashtbl.add tbl k h);
-        h
-    in
-    let i = bucket_index v in
-    h.buckets.(i) <- h.buckets.(i) + 1;
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    h.sumsq <- h.sumsq +. (v *. v);
-    if v < h.minv then h.minv <- v;
-    if v > h.maxv then h.maxv <- v
-  end
+  let tbl = Domain.DLS.get slot in
+  let h =
+    match Hashtbl.find_opt tbl k with
+    | Some h -> h
+    | None ->
+      let h = fresh_local () in
+      (* Insertion may resize the table; exclude concurrent mergers. *)
+      Mutex.protect mu (fun () -> Hashtbl.add tbl k h);
+      h
+  in
+  let i = bucket_index v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  h.count <- h.count + 1;
+  h.sum <- h.sum +. v;
+  h.sumsq <- h.sumsq +. (v *. v);
+  if v < h.minv then h.minv <- v;
+  if v > h.maxv then h.maxv <- v
 
 (* ------------------------------------------------------------------ *)
 (* Merged views.                                                      *)

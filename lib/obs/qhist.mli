@@ -3,8 +3,9 @@
     The backing store for {!Metrics.observe} and for per-span latency
     distributions: a fixed-geometry bucketed histogram per name,
     accumulated per domain ([Domain.DLS] tables merged exactly under a
-    mutex — the {!Metrics}/{!Cost} pattern) so concurrent domains
-    never contend on the hot path.
+    mutex — the {!Counters} pattern) so concurrent domains never
+    contend on the hot path.  Observations always record; the
+    counting flag gates {!Metrics.observe}, not this store.
 
     The geometry is {!sub_buckets} linear sub-buckets per power-of-two
     octave over binary exponents [[e_min, e_max)], plus an underflow
@@ -36,13 +37,6 @@ val bucket_index : float -> int
 val upper_bound : int -> float
 (** Nominal upper edge of a bucket — the OpenMetrics [le] label.
     [upper_bound (n_buckets - 1)] is [infinity]. *)
-
-val set_enabled : bool -> unit
-(** [set_enabled false] turns {!observe} into a no-op (the
-    uninstrumented baseline for the overhead benchmark).  Enabled by
-    default. *)
-
-val is_enabled : unit -> bool
 
 val observe : string -> float -> unit
 (** Feed one observation into the named histogram on the calling

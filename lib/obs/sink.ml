@@ -29,26 +29,13 @@ type event_record = {
   detail : string;
 }
 
-(* A closed telemetry scope: like a span, but its counter/cost deltas
-   are domain-local (exact under concurrency) rather than merged. *)
-type scope_record = {
-  name : string;
-  depth : int;
-  start : float;
-  dur : float;
-  counters : (string * int) list;
-  cost : (string * int) list;
-}
-
 type t = {
   on_span : span_record -> unit;
   on_event : event_record -> unit;
-  on_scope : scope_record -> unit;
   flush : unit -> unit;
 }
 
-let null =
-  { on_span = ignore; on_event = ignore; on_scope = ignore; flush = ignore }
+let null = { on_span = ignore; on_event = ignore; flush = ignore }
 
 (* ------------------------------------------------------------------ *)
 (* JSONL                                                              *)
@@ -89,26 +76,10 @@ let event_to_json (r : event_record) =
     "{\"type\":\"event\",\"name\":\"%s\",\"depth\":%d,\"time\":%.6f,\"detail\":\"%s\"}"
     (json_escape r.name) r.depth r.time (json_escape r.detail)
 
-(* Scope closes share the span wire shape under "type":"scope", so
-   readers that predate scopes skip them by type. *)
-let scope_to_json (r : scope_record) =
-  let kv (k, v) = Printf.sprintf "\"%s\":%d" (json_escape k) v in
-  let counters = String.concat "," (List.map kv r.counters) in
-  let cost =
-    r.cost
-    |> List.map (fun (k, v) ->
-           Printf.sprintf ",\"cost.%s\":%d" (json_escape k) v)
-    |> String.concat ""
-  in
-  Printf.sprintf
-    "{\"type\":\"scope\",\"name\":\"%s\",\"depth\":%d,\"start\":%.6f,\"dur\":%.6f,\"counters\":{%s}%s}"
-    (json_escape r.name) r.depth r.start r.dur counters cost
-
 let jsonl oc =
   {
     on_span = (fun r -> output_string oc (span_to_json r ^ "\n"));
     on_event = (fun r -> output_string oc (event_to_json r ^ "\n"));
-    on_scope = (fun r -> output_string oc (scope_to_json r ^ "\n"));
     flush = (fun () -> flush oc);
   }
 
@@ -123,23 +94,20 @@ let jsonl_file path =
 type captured = {
   spans : span_record list;
   events : event_record list;
-  scopes : scope_record list;
 }
 
 let memory () =
-  let spans = ref [] and events = ref [] and scopes = ref [] in
+  let spans = ref [] and events = ref [] in
   let sink =
     {
       on_span = (fun r -> spans := r :: !spans);
       on_event = (fun r -> events := r :: !events);
-      on_scope = (fun r -> scopes := r :: !scopes);
       flush = ignore;
     }
   in
   ( sink,
     fun () ->
-      { spans = List.rev !spans; events = List.rev !events;
-        scopes = List.rev !scopes } )
+      { spans = List.rev !spans; events = List.rev !events } )
 
 (* ------------------------------------------------------------------ *)
 (* Current sink + environment initialization.                         *)

@@ -41,25 +41,9 @@ type event_record = {
   detail : string;
 }
 
-type scope_record = {
-  name : string;           (** scope name, e.g. ["request"] *)
-  depth : int;             (** scope nesting depth on its domain *)
-  start : float;           (** {!Clock.now} at scope entry *)
-  dur : float;             (** elapsed seconds *)
-  counters : (string * int) list;
-      (** nonzero {e domain-local} counter deltas — exact for this
-          scope even while other domains run concurrently *)
-  cost : (string * int) list;
-      (** nonzero domain-local {!Cost} deltas, same exactness *)
-}
-(** A closed {!Scope}: the span wire shape, but with domain-local
-    (smear-free) deltas.  Rendered as a ["type":"scope"] JSONL
-    record. *)
-
 type t = {
   on_span : span_record -> unit;
   on_event : event_record -> unit;
-  on_scope : scope_record -> unit;
   flush : unit -> unit;
 }
 
@@ -75,12 +59,10 @@ val jsonl_file : string -> t
 
 val span_to_json : span_record -> string
 val event_to_json : event_record -> string
-val scope_to_json : scope_record -> string
 
 type captured = {
   spans : span_record list;
   events : event_record list;
-  scopes : scope_record list;
 }
 
 val memory : unit -> t * (unit -> captured)

@@ -3,7 +3,12 @@
    [with_ ~name f] is free (one sink load + pointer compare) when the
    null sink is active; otherwise it times [f], captures the counter
    and GC/allocation deltas accumulated inside it, and hands a span
-   record to the sink when [f] returns or raises. *)
+   record to the sink when [f] returns or raises.
+
+   Counter deltas diff the calling domain's lane-local registry view
+   ([Counters.local]: own counts plus the carry [Par] folds in at
+   region join), never merged totals, so spans running concurrently
+   in different lanes do not see each other's work. *)
 
 (* Nesting depth is per-domain: concurrent spans in different domains
    each track their own stack without synchronization. *)
@@ -19,20 +24,19 @@ let with_ ~name f =
     let prof_on = Prof.is_enabled () in
     let gc0 = if prof_on then Prof.take () else Prof.zero in
     let start = Clock.now () in
-    let snap = Metrics.snapshot () in
-    let csnap = Cost.snapshot () in
+    let snap = Counters.local () in
     Fun.protect
       ~finally:(fun () ->
         (* GC delta first: the counter-list allocations below would
            otherwise be charged to the span being closed. *)
         let prof = if prof_on then Some (Prof.since gc0) else None in
         let dur = Clock.now () -. start in
-        let counters =
-          List.map (fun (c, n) -> (Metrics.name c, n)) (Metrics.since snap)
+        let now = Counters.local () in
+        let deltas name index all =
+          List.map (fun (c, n) -> (name c, n)) (Counters.nonzero index all snap now)
         in
-        let cost =
-          List.map (fun (c, n) -> (Cost.name c, n)) (Cost.since csnap)
-        in
+        let counters = deltas Metrics.name Metrics.index Metrics.all in
+        let cost = deltas Cost.name Cost.index Cost.all in
         depth := d;
         (* Latency distributions for free on existing traces: every
            close feeds the per-span-name Qhist. *)

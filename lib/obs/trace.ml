@@ -11,7 +11,6 @@
 type record =
   | Span of Sink.span_record
   | Event of Sink.event_record
-  | Scope of Sink.scope_record
 
 type item = Node of Sink.span_record * item list | Leaf of Sink.event_record
 
@@ -19,7 +18,6 @@ type t = {
   roots : item list;
   spans : Sink.span_record list;  (* emission order *)
   events : Sink.event_record list;  (* emission order *)
-  scopes : Sink.scope_record list;  (* emission order *)
 }
 
 exception Malformed of string
@@ -79,31 +77,6 @@ let record_of_json j : record =
         time = Json.(to_num (member_exn "time" j));
         detail = Json.(to_str (member_exn "detail" j));
       }
-  | "scope" ->
-    (* Same wire shape as a span minus prof.*; see Sink.scope_to_json. *)
-    let counters =
-      Json.(to_obj (member_exn "counters" j))
-      |> List.map (fun (k, v) -> (k, Json.to_int v))
-    in
-    let cost =
-      Json.to_obj j
-      |> List.filter_map (fun (k, v) ->
-             if String.length k > 5 && String.sub k 0 5 = "cost." then
-               match v with
-               | Json.Num f ->
-                 Some (String.sub k 5 (String.length k - 5), int_of_float f)
-               | _ -> None
-             else None)
-    in
-    Scope
-      {
-        Sink.name = Json.(to_str (member_exn "name" j));
-        depth = Json.(to_int (member_exn "depth" j));
-        start = Json.(to_num (member_exn "start" j));
-        dur = Json.(to_num (member_exn "dur" j));
-        counters;
-        cost;
-      }
   | other -> malformed "unknown record type %S" other
 
 let parse_line line =
@@ -129,9 +102,6 @@ let build (records : record list) : item list =
   List.iter
     (fun r ->
       match r with
-      (* Scope depths are per-domain, so concurrent scopes interleave
-         arbitrarily — they stay out of the single-stack span tree. *)
-      | Scope _ -> ()
       | Event e ->
         let b = bucket e.Sink.depth in
         b := Leaf e :: !b
@@ -169,8 +139,14 @@ let of_records records =
     roots = build records;
     spans = List.filter_map (function Span s -> Some s | _ -> None) records;
     events = List.filter_map (function Event e -> Some e | _ -> None) records;
-    scopes = List.filter_map (function Scope s -> Some s | _ -> None) records;
   }
+
+(* Older builds also wrote "scope" records (a since-retired bracket);
+   [load] skips them so those traces stay readable. *)
+let legacy_scope line =
+  match Json.member "type" (Json.parse line) with
+  | Some (Json.Str "scope") -> true
+  | _ | (exception Json.Parse_error _) -> false
 
 let load path =
   let ic = open_in path in
@@ -181,7 +157,10 @@ let load path =
       (try
          while true do
            let line = input_line ic in
-           if String.trim line <> "" then records := parse_line line :: !records
+           if String.trim line <> "" then
+             match parse_line line with
+             | r -> records := r :: !records
+             | exception Malformed _ when legacy_scope line -> ()
          done
        with End_of_file -> ());
       of_records (List.rev !records))

@@ -2,14 +2,13 @@
 
     Spans are emitted when they close, so a trace lists children
     before their parents; {!of_records} rebuilds the hierarchy from
-    the recorded depths.  The renderers back both the [tools/trace_report]
-    executable and the [vmor report] subcommand, and return strings —
-    printing is the caller's business. *)
+    the recorded depths.  The renderers back the [vmor report] and
+    [vmor profile] subcommands, and return strings — printing is the
+    caller's business. *)
 
 type record =
   | Span of Sink.span_record
   | Event of Sink.event_record
-  | Scope of Sink.scope_record
 
 type item = Node of Sink.span_record * item list | Leaf of Sink.event_record
 
@@ -17,9 +16,6 @@ type t = {
   roots : item list;  (** top-level items, in completion order *)
   spans : Sink.span_record list;  (** all spans, emission order *)
   events : Sink.event_record list;  (** all events, emission order *)
-  scopes : Sink.scope_record list;
-      (** all scope closes, emission order.  Scope depths are
-          per-domain, so scopes stay out of the span tree. *)
 }
 
 exception Malformed of string
@@ -29,8 +25,10 @@ val parse_line : string -> record
 val of_records : record list -> t
 
 val load : string -> t
-(** Parse a JSONL trace file.  Blank lines are skipped; items whose
-    enclosing span never closed (truncated trace) become extra roots. *)
+(** Parse a JSONL trace file.  Blank lines are skipped, and so are
+    ["type":"scope"] lines written by the retired scope bracket of
+    older builds; items whose enclosing span never closed (truncated
+    trace) become extra roots. *)
 
 val render_tree : ?max_depth:int -> t -> string
 (** Where-the-time-went tree: per-span duration and kernel-counter

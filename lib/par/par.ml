@@ -61,6 +61,24 @@ let region ~lanes ~serial ~parallel =
       ~finally:(fun () -> Atomic.set busy false)
       (fun () -> parallel (ensure_pool lanes))
 
+(* [Pool.run] plus the span fold: while a sink records, each worker
+   lane's registry delta is folded into the calling domain's carry at
+   join, so a span enclosing the region stays inclusive while spans
+   inside lanes stay exact (see [Obs.Counters]). *)
+let run p job =
+  if not (Obs.Sink.is_active ()) then Pool.run p job
+  else begin
+    let deltas = Array.make (Pool.lanes p) [||] in
+    Pool.run p (fun lane ->
+        if lane = 0 then job lane
+        else begin
+          let snap = Obs.Counters.local () in
+          job lane;
+          deltas.(lane) <- Obs.Counters.local_since snap
+        end);
+    Array.iter Obs.Counters.carry deltas
+  end
+
 let reraise_lowest slots =
   Array.iter
     (function
@@ -81,7 +99,7 @@ let tiles ?(min_chunk = default_min_chunk) ~lo ~hi body =
         let lanes = min lanes (Pool.lanes p) in
         let chunk = (span + lanes - 1) / lanes in
         let errs = Array.make lanes None in
-        Pool.run p (fun lane ->
+        run p (fun lane ->
             if lane < lanes then begin
               let l = lo + (lane * chunk) in
               let h = min hi (l + chunk) in
@@ -110,7 +128,7 @@ let map_array f xs =
         let errs = Array.make n None in
         let next = Atomic.make 0 in
         let lanes = min lanes (Pool.lanes p) in
-        Pool.run p (fun lane ->
+        run p (fun lane ->
             if lane < lanes then begin
               let running = ref true in
               while !running do

@@ -24,9 +24,13 @@
     which cancels sibling lanes at their next poll.  See DESIGN.md
     §14.
 
-    {b Observability.} [Obs.Metrics] counters are per-domain and merge
-    exactly on read; [Obs.Span] events from workers carry their own
-    (domain-local) depth.  The JSONL trace sink is not internally
+    {b Observability.} [Obs.Metrics]/[Obs.Cost] counters are
+    per-domain and merge exactly on read; [Obs.Span] records from
+    workers carry their own (domain-local) depth and counter deltas.
+    While a sink is active, each parallel region folds its worker
+    lanes' deltas into the calling domain's [Obs.Counters] carry at
+    join, so a span around the region stays inclusive.  The JSONL
+    trace sink is not internally
     locked — run traced reductions serially, or accept interleaved
     lines. *)
 

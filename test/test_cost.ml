@@ -46,9 +46,9 @@ let test_merge_exact_4domains () =
 
 let test_disabled_is_noop () =
   let snap = Cost.snapshot () in
-  Cost.set_enabled false;
+  Obs.Counters.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Cost.set_enabled true)
+    ~finally:(fun () -> Obs.Counters.set_enabled true)
     (fun () -> Cost.charge Cost.Flops_lu 1_000 ~read:10 ~written:10);
   Alcotest.(check cost_list) "disabled charge leaves no trace" []
     (named (Cost.since snap))
@@ -108,24 +108,33 @@ let test_span_cost_attribution () =
   Alcotest.(check cost_list) "inner span sees only its own charges"
     [ ("flops_matvec", 200); ("bytes_read", 400); ("bytes_written", 40) ]
     inner.Obs.Sink.cost;
-  (* a real reduction's root span must agree with the counters too
-     (model built before the snapshot — its assembly charges are not
-     part of the reduction span) *)
+  (* a real reduction's root span must agree with the counters too,
+     serially and under 4 domains, where the worker lanes' work reaches
+     the root span through Par's fold at region join (model built
+     before the snapshot — its assembly charges are not part of the
+     reduction span) *)
   let q =
     Circuit.Models.qldae (Circuit.Models.nltl ~stages:8 ~source:(`Voltage 1.0) ())
   in
-  let snap2 = Cost.snapshot () in
-  let c2 =
-    with_memory_sink (fun () ->
-        ignore
-          (Mor.Atmor.reduce ~orders:{ Mor.Atmor.k1 = 4; k2 = 2; k3 = 1 } q))
-  in
-  let total2 = named (Cost.since snap2) in
-  let root =
-    List.find (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.name = "atmor.reduce") c2.Obs.Sink.spans
-  in
-  Alcotest.(check cost_list) "atmor.reduce span cost = process delta" total2
-    root.Obs.Sink.cost
+  List.iter
+    (fun domains ->
+      let snap2 = Cost.snapshot () in
+      let c2 =
+        with_memory_sink (fun () ->
+            Par.with_domains domains (fun () ->
+                ignore
+                  (Mor.Atmor.reduce
+                     ~orders:{ Mor.Atmor.k1 = 4; k2 = 2; k3 = 1 } q)))
+      in
+      let total2 = named (Cost.since snap2) in
+      let root =
+        List.find
+          (fun (s : Obs.Sink.span_record) -> s.Obs.Sink.name = "atmor.reduce")
+          c2.Obs.Sink.spans
+      in
+      Alcotest.(check cost_list) "atmor.reduce span cost = process delta"
+        total2 root.Obs.Sink.cost)
+    [ None; Some 4 ]
 
 (* ---- JSONL round-trip ---- *)
 

@@ -213,8 +213,6 @@ let test_concurrent_span_depth () =
         (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_span r));
       on_event =
         (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_event r));
-      on_scope =
-        (fun r -> Mutex.protect mu (fun () -> sink.Obs.Sink.on_scope r));
       flush = sink.Obs.Sink.flush;
     }
   in

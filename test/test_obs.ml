@@ -138,9 +138,9 @@ let test_span_counters_match_metrics () =
 
 let test_disabled_counters_are_noops () =
   let before = Obs.Metrics.get Obs.Metrics.Matvec in
-  Obs.Metrics.set_enabled false;
+  Obs.Counters.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Obs.Metrics.set_enabled true)
+    ~finally:(fun () -> Obs.Counters.set_enabled true)
     (fun () ->
       Obs.Metrics.incr ~by:100 Obs.Metrics.Matvec;
       Obs.Metrics.set_gauge "obs_test_gauge" 1.0;
@@ -253,7 +253,7 @@ let test_null_sink_purity () =
 
 (* The runtest-wired form of bench/main.exe's `obs` pass: counters
    enabled (the shipping default, null sink) must cost <2% over
-   [set_enabled false] on the hottest counter site.  Interleaved
+   [Counters.set_enabled false] on the hottest counter site.  Interleaved
    best-of timing plus a bounded retry keep the assertion stable on
    noisy CI machines; the true overhead is one boolean load per
    matvec, far below the budget. *)
@@ -280,12 +280,12 @@ let test_disabled_overhead_budget () =
   let measure () =
     let off = ref Float.infinity and on_ = ref Float.infinity in
     Fun.protect
-      ~finally:(fun () -> Obs.Metrics.set_enabled true)
+      ~finally:(fun () -> Obs.Counters.set_enabled true)
       (fun () ->
         for _ = 1 to 4 do
-          Obs.Metrics.set_enabled false;
+          Obs.Counters.set_enabled false;
           off := Float.min !off (time_best 3 loop);
-          Obs.Metrics.set_enabled true;
+          Obs.Counters.set_enabled true;
           on_ := Float.min !on_ (time_best 3 loop)
         done);
     100.0 *. (!on_ -. !off) /. !off

@@ -1,10 +1,10 @@
-(* Tests for PR 10: per-request telemetry scopes (Obs.Scope),
-   deterministic quantile histograms (Obs.Qhist) and the OpenMetrics
-   exporter — plus the bench gate's latency block.
+(* Tests for lane-exact span counters under Par, deterministic quantile
+   histograms (Obs.Qhist) and the OpenMetrics exporter — plus the bench
+   gate's latency block.
 
-   The load-bearing assertions are the exactness ones: concurrent
-   per-scope deltas must sum to the process-wide delta (Scope diffs
-   domain-local accumulators, not merged snapshots), and Qhist bucket
+   The load-bearing assertions are the exactness ones: spans opened in
+   concurrent Par lanes must see only their own work (Span diffs the
+   lane-local registry view, not merged snapshots), and Qhist bucket
    counts / quantiles must come out bit-identical whether a value
    stream is observed serially or split across 4 domains. *)
 
@@ -21,92 +21,130 @@ let lcg_stream ~seed n =
       let e = ((!x lsr 16) mod 20) - 10 in
       Float.ldexp m e)
 
-(* ---- scopes: nesting and delta capture ---- *)
+(* ---- spans: lane-local exactness under Par ---- *)
 
-let test_scope_nesting_and_deltas () =
-  let (), outer =
-    Obs.Scope.with_result ~name:"t.outer" (fun () ->
-        Obs.Metrics.incr ~by:2 Obs.Metrics.Lu_factor;
-        let (), inner =
-          Obs.Scope.with_result ~name:"t.inner" (fun () ->
-              (* depth () counts open scopes: outer + inner = 2 *)
-              check_int "inner depth" 2 (Obs.Scope.depth ());
-              Obs.Metrics.incr ~by:3 Obs.Metrics.Matvec)
-        in
-        check_int "inner is depth 1" 1 inner.Obs.Scope.depth;
-        Alcotest.(check (list (pair string int)))
-          "inner sees only its own counters"
-          [ ("matvec", 3) ]
-          (List.map
-             (fun (c, n) -> (Obs.Metrics.name c, n))
-             inner.Obs.Scope.counters))
+(* Run [f] under 4 domains with a memory sink behind a mutex (spans
+   close concurrently on several domains); return the captured spans. *)
+let traced_par f =
+  let sink, captured = Obs.Sink.memory () in
+  let mu = Mutex.create () in
+  let locked g r = Mutex.protect mu (fun () -> g r) in
+  Obs.Sink.set
+    {
+      Obs.Sink.on_span = locked sink.Obs.Sink.on_span;
+      on_event = locked sink.Obs.Sink.on_event;
+      flush = sink.Obs.Sink.flush;
+    };
+  Fun.protect
+    ~finally:(fun () -> Obs.Sink.set Obs.Sink.null)
+    (fun () -> Vmor.Par.with_domains (Some 4) f);
+  (captured ()).Obs.Sink.spans
+
+let find_span spans name =
+  match List.filter (fun (s : Obs.Sink.span_record) -> s.name = name) spans with
+  | [ s ] -> s
+  | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l)
+
+let pairs = Alcotest.(list (pair string int))
+let named name deltas = List.map (fun (c, n) -> (name c, n)) deltas
+let items = List.init 16 (fun i -> i + 1)
+let item_name i = Printf.sprintf "t.item.%d" i
+
+(* One item's work: i matvecs, a pause that makes concurrent items
+   overlap, then 10 i axpy flops. *)
+let item_work i =
+  Obs.Metrics.incr ~by:i Obs.Metrics.Matvec;
+  Unix.sleepf 0.002;
+  Obs.Cost.charge Obs.Cost.Flops_axpy (10 * i)
+
+let check_item spans i =
+  let s = find_span spans (item_name i) in
+  Alcotest.check pairs
+    (Printf.sprintf "item %d counters" i)
+    [ ("matvec", i) ] s.Obs.Sink.counters;
+  Alcotest.check pairs
+    (Printf.sprintf "item %d cost" i)
+    [ ("flops_axpy", 10 * i) ] s.Obs.Sink.cost
+
+(* The enclosing span's deltas equal the process-wide deltas. *)
+let check_region spans ~snap ~csnap =
+  let region = find_span spans "t.region" in
+  Alcotest.check pairs "region counters = process delta"
+    (named Obs.Metrics.name (Obs.Metrics.since snap))
+    region.Obs.Sink.counters;
+  Alcotest.check pairs "region cost = process delta"
+    (named Obs.Cost.name (Obs.Cost.since csnap))
+    region.Obs.Sink.cost;
+  region
+
+(* Spans opened inside Par.map_list items under 4 domains each see
+   exactly their own item's Metrics/Cost deltas, even though the items
+   run concurrently; the span enclosing the region sees all of it,
+   because Par folds the worker lanes' deltas into the caller's carry
+   at join.  Diffing merged process-wide counters instead would smear
+   the items into each other's spans. *)
+let test_concurrent_span_exactness () =
+  let snap = Obs.Metrics.snapshot () and csnap = Obs.Cost.snapshot () in
+  let spans =
+    traced_par (fun () ->
+        Obs.Span.with_ ~name:"t.region" (fun () ->
+            ignore
+              (Vmor.Par.map_list
+                 (fun i -> Obs.Span.with_ ~name:(item_name i) (fun () -> item_work i))
+                 items)))
   in
-  check_int "outer is depth 0" 0 outer.Obs.Scope.depth;
-  check_int "depth restored" 0 (Obs.Scope.depth ());
-  (* outer deltas are inclusive of the nested scope *)
-  let get c =
-    Option.value ~default:0 (List.assoc_opt c outer.Obs.Scope.counters)
+  List.iter (check_item spans) items;
+  let region = check_region spans ~snap ~csnap in
+  Alcotest.check pairs "region counters inclusive of every lane"
+    [ ("matvec", List.fold_left ( + ) 0 items) ] region.Obs.Sink.counters
+
+(* Nesting inside a lane: an item's inner span sees only its own
+   charge, the item span is inclusive of it, and depths are per lane. *)
+let test_nested_spans_in_lanes () =
+  let spans =
+    traced_par (fun () ->
+        ignore
+          (Vmor.Par.map_list
+             (fun i ->
+               Obs.Span.with_ ~name:(item_name i) (fun () ->
+                   item_work i;
+                   Obs.Span.with_ ~name:(Printf.sprintf "t.inner.%d" i) (fun () ->
+                       Obs.Metrics.incr ~by:100 Obs.Metrics.Lu_solve)))
+             items))
   in
-  check_int "outer lu_factor" 2 (get Obs.Metrics.Lu_factor);
-  check_int "outer matvec (inclusive)" 3 (get Obs.Metrics.Matvec);
-  Alcotest.(check bool) "duration nonnegative" true (outer.Obs.Scope.dur >= 0.0)
+  List.iter
+    (fun i ->
+      let inner = find_span spans (Printf.sprintf "t.inner.%d" i) in
+      let outer = find_span spans (item_name i) in
+      check_int "inner depth" 1 inner.Obs.Sink.depth;
+      check_int "item depth" 0 outer.Obs.Sink.depth;
+      Alcotest.check pairs "inner sees only its own counters"
+        [ ("lu_solve", 100) ] inner.Obs.Sink.counters;
+      Alcotest.check pairs "item counters inclusive of inner"
+        [ ("lu_solve", 100); ("matvec", i) ] outer.Obs.Sink.counters)
+    items
 
-let test_scope_exception_safe () =
-  let before = Obs.Scope.depth () in
-  (match
-     Obs.Scope.with_ ~name:"t.raises" (fun () -> raise (Failure "boom"))
-   with
-  | () -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ());
-  check_int "depth restored after raise" before (Obs.Scope.depth ())
-
-(* Sum of concurrent per-scope deltas = process-wide delta, under 4
-   domains.  This is the property Span cannot give (it diffs merged
-   snapshots, smearing concurrent work): each scope diffs its own
-   domain's accumulator, so nothing is double-counted or lost. *)
-let test_concurrent_scope_exactness () =
-  Vmor.Par.with_domains (Some 4) (fun () ->
-      let snap = Obs.Metrics.snapshot () in
-      let csnap = Obs.Cost.snapshot () in
-      let items = List.init 16 (fun i -> i + 1) in
-      let scopes =
-        Vmor.Par.map_list
-          (fun i ->
-            snd
-              (Obs.Scope.with_result ~name:"t.conc" (fun () ->
-                   Obs.Metrics.incr ~by:i Obs.Metrics.Matvec;
-                   Obs.Cost.charge Obs.Cost.Flops_axpy (10 * i))))
-          items
-      in
-      let expected = List.fold_left ( + ) 0 items in
-      let scope_sum sel =
-        List.fold_left (fun acc s -> acc + sel s) 0 scopes
-      in
-      let metric_of (s : Obs.Scope.t) =
-        Option.value ~default:0
-          (List.assoc_opt Obs.Metrics.Matvec s.Obs.Scope.counters)
-      in
-      let cost_of (s : Obs.Scope.t) =
-        Option.value ~default:0
-          (List.assoc_opt Obs.Cost.Flops_axpy s.Obs.Scope.cost)
-      in
-      (* every scope captured exactly its own item's increments *)
-      List.iter2
-        (fun i s ->
-          check_int (Printf.sprintf "scope %d matvec" i) i (metric_of s);
-          check_int (Printf.sprintf "scope %d cost" i) (10 * i) (cost_of s))
-        items scopes;
-      (* ... and they sum to the process-wide deltas *)
-      check_int "scope matvec deltas sum to global" expected
-        (scope_sum metric_of);
-      check_int "global matvec delta" expected
-        (Option.value ~default:0
-           (List.assoc_opt Obs.Metrics.Matvec (Obs.Metrics.since snap)));
-      check_int "scope cost deltas sum to global" (10 * expected)
-        (scope_sum cost_of);
-      check_int "global cost delta" (10 * expected)
-        (Option.value ~default:0
-           (List.assoc_opt Obs.Cost.Flops_axpy (Obs.Cost.since csnap))))
+(* A raising item still closes its span with exact deltas, Par still
+   folds every lane at join, and the lowest-index exception surfaces
+   after the enclosing span closed inclusively. *)
+let test_raising_item_keeps_region_inclusive () =
+  let snap = Obs.Metrics.snapshot () and csnap = Obs.Cost.snapshot () in
+  let spans =
+    traced_par (fun () ->
+        match
+          Obs.Span.with_ ~name:"t.region" (fun () ->
+              Vmor.Par.map_list
+                (fun i ->
+                  Obs.Span.with_ ~name:(item_name i) (fun () ->
+                      item_work i;
+                      if i mod 5 = 0 then failwith (item_name i)))
+                items)
+        with
+        | _ -> Alcotest.fail "expected Failure"
+        | exception Failure m -> Alcotest.(check string) "lowest item wins" "t.item.5" m)
+  in
+  List.iter (check_item spans) items;
+  ignore (check_region spans ~snap ~csnap)
 
 (* ---- qhist: geometry, merge exactness, quantile determinism ---- *)
 
@@ -264,31 +302,27 @@ let test_openmetrics_validator_rejects () =
   reject "garbage line" (fun t -> "!! not a metric line\n" ^ t);
   reject "content after EOF" (fun t -> t ^ "vmor_matvec_total 1\n")
 
-(* scope records survive the JSONL round trip through Trace.load *)
-let test_scope_jsonl_round_trip () =
-  let path = Filename.temp_file "vmor_scope" ".jsonl" in
+(* Traces written before the scope bracket was retired carry
+   "type":"scope" lines; Trace.load skips them and keeps the rest. *)
+let test_legacy_scope_lines_skipped () =
+  let path = Filename.temp_file "vmor_legacy" ".jsonl" in
   let oc = open_out path in
-  let sink = Obs.Sink.jsonl oc in
-  Obs.Sink.set sink;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Sink.set Obs.Sink.null;
-      close_out_noerr oc)
-    (fun () ->
-      Obs.Scope.with_ ~name:"t.wire" (fun () ->
-          Obs.Metrics.incr ~by:7 Obs.Metrics.Matvec);
-      sink.Obs.Sink.flush ());
-  let t = Obs.Trace.load path in
-  Sys.remove path;
-  (match t.Obs.Trace.scopes with
+  output_string oc
+    "{\"type\":\"scope\",\"name\":\"request\",\"depth\":0,\"start\":1.0,\
+     \"dur\":0.5,\"counters\":{\"matvec\":7},\"cost.flops_axpy\":70}\n\
+     {\"type\":\"span\",\"name\":\"t.kept\",\"depth\":0,\"start\":1.0,\
+     \"dur\":0.25,\"counters\":{\"matvec\":3}}\n";
+  close_out oc;
+  let t =
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Obs.Trace.load path)
+  in
+  (match t.Obs.Trace.spans with
   | [ s ] ->
-    Alcotest.(check string) "scope name" "t.wire" s.Obs.Sink.name;
-    check_int "scope depth" 0 s.Obs.Sink.depth;
-    check_int "scope counter delta" 7
+    Alcotest.(check string) "span kept" "t.kept" s.Obs.Sink.name;
+    check_int "span counter" 3
       (Option.value ~default:0 (List.assoc_opt "matvec" s.Obs.Sink.counters))
-  | l -> Alcotest.fail (Printf.sprintf "expected 1 scope, got %d" (List.length l)));
-  (* scopes stay out of the span tree *)
-  check_int "no spans from scopes" 0 (List.length t.Obs.Trace.spans)
+  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
+  check_int "scope line dropped" 1 (List.length t.Obs.Trace.roots)
 
 (* ---- bench gate: latency block pass/fail matrix ---- *)
 
@@ -337,13 +371,14 @@ let test_gate_latency_matrix () =
 
 let suite =
   [
-    ( "scope.deltas",
+    ( "span.lanes",
       [
-        Alcotest.test_case "nesting and delta capture" `Quick
-          test_scope_nesting_and_deltas;
-        Alcotest.test_case "exception safety" `Quick test_scope_exception_safe;
         Alcotest.test_case "concurrent exactness (4 domains)" `Quick
-          test_concurrent_scope_exactness;
+          test_concurrent_span_exactness;
+        Alcotest.test_case "nested spans in lanes" `Quick
+          test_nested_spans_in_lanes;
+        Alcotest.test_case "raising item keeps region inclusive" `Quick
+          test_raising_item_keeps_region_inclusive;
       ] );
     ( "qhist.determinism",
       [
@@ -362,8 +397,8 @@ let suite =
           test_openmetrics_round_trip;
         Alcotest.test_case "validator rejects corruption" `Quick
           test_openmetrics_validator_rejects;
-        Alcotest.test_case "scope jsonl round trip" `Quick
-          test_scope_jsonl_round_trip;
+        Alcotest.test_case "legacy scope lines skipped" `Quick
+          test_legacy_scope_lines_skipped;
         Alcotest.test_case "gate latency matrix" `Quick
           test_gate_latency_matrix;
       ] );

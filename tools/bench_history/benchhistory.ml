@@ -12,8 +12,8 @@
    authority: the loader re-renders the embedded object and feeds it
    back through the same parser the gate uses.  Library so the test
    suite and the @history-smoke alias can drive append/render
-   round-trips in-process; tools/bench_history/main.ml is the CLI and
-   `vmor bench-history` the user-facing renderer. *)
+   round-trips in-process; `vmor bench-history [append]` is the
+   CLI. *)
 
 let schema_version = 1
 

@@ -138,6 +138,15 @@ let det t =
   done;
   !d
 
+(* Sum of log |u_ii|: the pivot scale of the factored matrix, which the
+   product in [det] underflows for large well-scaled systems. *)
+let log_abs_det t =
+  let acc = ref 0.0 in
+  for i = 0 to dim t - 1 do
+    acc := !acc +. log (Float.abs (Mat.get t.lu i i))
+  done;
+  !acc
+
 let inverse t = solve_mat t (Mat.identity (dim t))
 
 let solve_system a b = solve (factor a) b

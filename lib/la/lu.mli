@@ -28,6 +28,11 @@ val solve_mat : t -> Mat.t -> Mat.t
 (** Determinant of the factored matrix. *)
 val det : t -> float
 
+(** [log |det A|], summed over the pivots: finite where {!det}
+    underflows or overflows ([G1 = 0.01·I] at [n = 200] has [det = 0]
+    in floating point). *)
+val log_abs_det : t -> float
+
 (** Explicit inverse (prefer {!solve} when possible). *)
 val inverse : t -> Mat.t
 

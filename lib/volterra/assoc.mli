@@ -6,8 +6,13 @@
     of [G1]:
 
     {v H2(s) = (sI−G1)⁻¹ ( G2 (sI−⊕²G1)⁻¹ w + d )          (eq. 17)
-       H3(s) = (sI−G1)⁻¹ ( (2/3)Σ G2 W(s) + (1/3)Σ D1 H2(s)
-                           + G3 (sI−⊕³G1)⁻¹ q ) v}
+       H3(s) = (sI−G1)⁻¹ ( 2 G2 W(s) + (1/3)Σ D1 H2(s) + G3 R(s) )
+       R(s)  = (sI−⊕³G1)⁻¹ q,   W(s) = (sI−⊕²G1)⁻¹ ( d̄ + (I⊗G2) R(s) ) v}
+
+    where [q] is the symmetrized triple product of the input columns and
+    [d̄] averages the [D1] feed-through over the three pairings of the
+    triple: the paper's three pairing terms summed by linearity into one
+    [⊕³] and one [⊕²] solve chain (DESIGN.md §2).
 
     so a Krylov/moment subspace about a {e single} [s] serves every
     order — the paper's escape from the exponential subspace growth of
@@ -26,7 +31,9 @@ type t
 (** The default expansion point for a model: [0] when [G1] is
     invertible, [1.0] for quadratized diode circuits whose augmented
     [G1] is structurally singular (see DESIGN.md; the paper's §4 non-DC
-    expansion). Exposed so retry policies can nudge from the same
+    expansion). The test is the geometric mean of the LU pivots'
+    magnitudes, formed from their logs so large well-scaled systems do
+    not underflow it. Exposed so retry policies can nudge from the same
     baseline the engine would pick. *)
 val default_s0 : Qldae.t -> float
 
@@ -63,7 +70,8 @@ val h2_moment_series : t -> k:int -> int * int -> Vec.t list
 (** [h2_moments t ~k]: moments for every unordered input pair. *)
 val h2_moments : t -> k:int -> Vec.t list
 
-(** Moments of the associated [H3(s)] for one unordered input triple. *)
+(** Moments of the associated [H3(s)] for one unordered input triple:
+    one [⊕³] and one [⊕²] Schur-basis chain, whatever the pairings. *)
 val h3_moment_series : t -> k:int -> int * int * int -> Vec.t list
 
 (** [h3_moments t ~k]: moments for input triples. [`Diagonal] restricts

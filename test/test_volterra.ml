@@ -195,58 +195,111 @@ let test_h2_eval_vs_dense_eq17 () =
         1e-8)
     [ cx 0.4 0.0; cx 0.0 1.0; cx 0.8 (-2.0); cx 2.0 3.0 ]
 
-(* Dense third-order associated transfer function, assembled exactly as
-   in Assoc but with materialized Kronecker sums and dense solves. *)
-let dense_h3_assoc (q : Volterra.Qldae.t) (s : Complex.t) : Cvec.t =
+(* Dense third-order associated transfer function of the input triple
+   (a, b, c), assembled pairing by pairing from the paper's block
+   realization with materialized Kronecker sums and dense solves:
+
+     H3 = (sI-G1)^-1 [ (2/3) Σ_p G2 W^p + (1/3) Σ_p D1_i H2^{jl}
+                       + G3 N3^-1 sym(b_a ⊗ b_b ⊗ b_c) ]
+     W^p = N2^-1 (b_i ⊗ d_jl + (I ⊗ G2) N3^-1 (b_i ⊗ sym(b_j ⊗ b_l)))
+
+   over the pairings p = (i; jl) in (a; bc), (b; ac), (c; ab). *)
+let dense_h3_assoc ?(inputs = (0, 0, 0)) (q : Volterra.Qldae.t) (s : Complex.t)
+    : Cvec.t =
+  let a, b, c = inputs in
   let n = Volterra.Qldae.dim q in
   let g1 = q.Volterra.Qldae.g1 in
   let g2d = Sptensor.to_dense q.Volterra.Qldae.g2 in
   let g3d = Sptensor.to_dense q.Volterra.Qldae.g3 in
-  let b = Volterra.Qldae.b_col q 0 in
-  let d1 = q.Volterra.Qldae.d1.(0) in
-  let d1b = Mat.mul_vec d1 b in
+  let col = Volterra.Qldae.b_col q in
+  let d1 = q.Volterra.Qldae.d1 in
   let n2 = Kron.sum_pow g1 2 and n3 = Kron.sum_pow g1 3 in
   let solve m (v : Cvec.t) =
-    let nn = Mat.rows m in
-    let cm = Cmat.add_diag (Cmat.scale (cx (-1.0) 0.0) (Cmat.of_real m)) s in
-    ignore nn;
-    Clu.solve_system cm v
+    Clu.solve_system
+      (Cmat.add_diag (Cmat.scale (cx (-1.0) 0.0) (Cmat.of_real m)) s)
+      v
   in
   let apply_real_mat m (v : Cvec.t) =
     Cvec.make ~re:(Mat.mul_vec m (Cvec.real_part v))
       ~im:(Mat.mul_vec m (Cvec.imag_part v))
   in
-  (* W(s) = N2^-1 (b ⊗ d1b + (I ⊗ G2) N3^-1 (b ⊗ b ⊗ b)) *)
-  let z = solve n3 (Cvec.of_real (Kron.vec_pow b 3)) in
+  let w_pair j l =
+    Vec.scale 0.5 (Vec.add (Kron.vec (col j) (col l)) (Kron.vec (col l) (col j)))
+  in
+  let d_pair j l =
+    Vec.scale 0.5
+      (Vec.add (Mat.mul_vec d1.(j) (col l)) (Mat.mul_vec d1.(l) (col j)))
+  in
   let ikg2 = Kron.mat (Mat.identity n) g2d in
-  let w =
-    solve n2 (Cvec.add (Cvec.of_real (Kron.vec b d1b)) (apply_real_mat ikg2 z))
-  in
-  (* H2assoc(s) for the D1 part *)
-  let r2 = solve n2 (Cvec.of_real (Kron.vec_pow b 2)) in
-  let h2 =
-    solve g1 (Cvec.add (apply_real_mat g2d r2) (Cvec.of_real d1b))
-  in
-  let r3 = solve n3 (Cvec.of_real (Kron.vec_pow b 3)) in
   let inner = Cvec.create n in
-  Cvec.axpy ~alpha:(cx 2.0 0.0) (apply_real_mat g2d w) inner;
-  Cvec.axpy ~alpha:Complex.one (apply_real_mat d1 h2) inner;
-  Cvec.axpy ~alpha:Complex.one (apply_real_mat g3d r3) inner;
+  List.iter
+    (fun (i, (j, l)) ->
+      let z = solve n3 (Cvec.of_real (Kron.vec (col i) (w_pair j l))) in
+      let w =
+        solve n2
+          (Cvec.add (Cvec.of_real (Kron.vec (col i) (d_pair j l))) (apply_real_mat ikg2 z))
+      in
+      Cvec.axpy ~alpha:(cx (2.0 /. 3.0) 0.0) (apply_real_mat g2d w) inner;
+      let h2 =
+        solve g1
+          (Cvec.add
+             (apply_real_mat g2d (solve n2 (Cvec.of_real (w_pair j l))))
+             (Cvec.of_real (d_pair j l)))
+      in
+      Cvec.axpy ~alpha:(cx (1.0 /. 3.0) 0.0) (apply_real_mat d1.(i) h2) inner)
+    [ (a, (b, c)); (b, (a, c)); (c, (a, b)) ];
+  let q3 = Vec.create (n * n * n) in
+  List.iter
+    (fun (i, j, l) ->
+      Vec.axpy ~alpha:(1.0 /. 6.0) (Kron.vec (Kron.vec (col i) (col j)) (col l)) q3)
+    [ (a, b, c); (a, c, b); (b, a, c); (b, c, a); (c, a, b); (c, b, a) ];
+  Cvec.axpy ~alpha:Complex.one (apply_real_mat g3d (solve n3 (Cvec.of_real q3))) inner;
   solve g1 inner
 
+(* A random [m]-input QLDAE; G2, G3 and per-input D1 present unless
+   switched off. *)
+let random_miso_qldae ?(n = 3) ?(m = 3) ?(with_d1 = true) ?(with_g2 = true)
+    ?(with_g3 = true) () =
+  let g1 = random_stable n in
+  let g2 =
+    if with_g2 then
+      Sptensor.of_dense ~arity:2 ~n_in:n (Mat.scale 0.3 (Mat.random ~rng n (n * n)))
+    else Sptensor.zero ~n_out:n ~n_in:n ~arity:2
+  in
+  let g3 =
+    if with_g3 then
+      Sptensor.of_dense ~arity:3 ~n_in:n
+        (Mat.scale 0.1 (Mat.random ~rng n (n * n * n)))
+    else Sptensor.zero ~n_out:n ~n_in:n ~arity:3
+  in
+  let d1 =
+    Array.init m (fun _ ->
+        if with_d1 then Mat.scale 0.3 (Mat.random ~rng n n) else Mat.create n n)
+  in
+  let b = Mat.random ~rng n m in
+  let c = Mat.init 1 n (fun _ j -> if j = n - 1 then 1.0 else 0.0) in
+  Volterra.Qldae.make ~g2 ~g3 ~d1 ~g1 ~b ~c ()
+
 let test_h3_eval_vs_dense () =
-  let q = random_qldae ~n:3 ~with_g3:true () in
-  let eng = Volterra.Assoc.create ~s0:0.5 q in
-  List.iter
-    (fun s ->
-      let fast = Volterra.Assoc.h3_eval eng ~inputs:(0, 0, 0) s in
-      let dense = dense_h3_assoc q s in
-      check_small
-        (Printf.sprintf "H3assoc(%.2f%+.2fi) structured = dense" s.Complex.re
-           s.Complex.im)
-        (Cvec.dist fast dense /. (1.0 +. Cvec.norm2 dense))
-        1e-7)
-    [ cx 0.6 0.0; cx 0.1 1.5; cx 1.0 (-1.0) ]
+  let check q inputs =
+    let eng = Volterra.Assoc.create ~s0:0.5 q in
+    let a, b, c = inputs in
+    List.iter
+      (fun s ->
+        let fast = Volterra.Assoc.h3_eval eng ~inputs s in
+        let dense = dense_h3_assoc ~inputs q s in
+        check_small
+          (Printf.sprintf "H3assoc^(%d,%d,%d)(%.2f%+.2fi) structured = dense" a b
+             c s.Complex.re s.Complex.im)
+          (Cvec.dist fast dense /. (1.0 +. Cvec.norm2 dense))
+          1e-7)
+      [ cx 0.6 0.0; cx 0.1 1.5; cx 1.0 (-1.0) ]
+  in
+  check (random_qldae ~n:3 ~with_g3:true ()) (0, 0, 0);
+  (* distinct inputs exercise the pairing algebra: every pairing
+     differs at (0,1,2), two of three coincide at (0,0,1) *)
+  let miso = random_miso_qldae ~n:3 ~m:3 () in
+  List.iter (check miso) [ (0, 1, 2); (0, 0, 1); (1, 2, 2) ]
 
 (* ---- moments vs finite-difference Taylor coefficients ---- *)
 
@@ -430,6 +483,101 @@ let test_association_diagonal_kernel_h3_cubic () =
       end)
     r.Volterra.Variational.times
 
+(* ---- summed single-chain H3 moments vs the three-pairing reference ---- *)
+
+(* [Assoc.h3_moments] against the pre-collapse path kept in [Assoc_ref],
+   per moment vector, normwise relative, across coupling mixes, input
+   counts and both expansion-point regimes. VMOR_CHECKS is armed so the
+   packed coupling's mode-symmetry contract runs on every iterate. *)
+let test_h3_moments_vs_reference () =
+  let cases =
+    [
+      ("SISO G2", random_miso_qldae ~n:4 ~m:1 ~with_d1:false ~with_g3:false ());
+      ("SISO G2+D1", random_miso_qldae ~n:4 ~m:1 ~with_g3:false ());
+      ("SISO G3 only", random_miso_qldae ~n:4 ~m:1 ~with_d1:false ~with_g2:false ());
+      ("SISO G2+G3", random_miso_qldae ~n:4 ~m:1 ~with_d1:false ());
+      ("2-input all", random_miso_qldae ~n:4 ~m:2 ());
+      ("3-input all", random_miso_qldae ~n:3 ~m:3 ());
+    ]
+  in
+  Contract.set_checks (Some true);
+  Fun.protect ~finally:(fun () -> Contract.set_checks None) @@ fun () ->
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun s0 ->
+          let eng = Volterra.Assoc.create ~s0 q in
+          let fast = Volterra.Assoc.h3_moments eng ~k:3 in
+          let reference = Assoc_ref.h3_moments ~s0 q ~k:3 in
+          Alcotest.(check int)
+            (Printf.sprintf "%s s0=%g: moment count" name s0)
+            (List.length reference) (List.length fast);
+          List.iteri
+            (fun i (f, r) ->
+              check_small
+                (Printf.sprintf "%s s0=%g: moment vector %d" name s0 i)
+                (Vec.dist2 f r /. Vec.norm2 r)
+                1e-12)
+            (List.combine fast reference))
+        [ 0.0; 0.5 ])
+    cases
+
+(* ---- expansion-point selection ---- *)
+
+let qldae_of_g1 g1 =
+  let n = Mat.rows g1 in
+  Volterra.Qldae.make ~g1
+    ~b:(Mat.init n 1 (fun i _ -> if i = 0 then 1.0 else 0.0))
+    ~c:(Mat.init 1 n (fun _ j -> if j = n - 1 then 1.0 else 0.0))
+    ()
+
+let test_default_s0 () =
+  let check_s0 name expected q =
+    Alcotest.(check (float 0.0)) name expected (Volterra.Assoc.default_s0 q)
+  in
+  (* the pivot product 0.01^200 underflows to 0; the pivots' geometric
+     mean is 0.01, comfortably invertible *)
+  check_s0 "G1 = 0.01 I, n = 200: s0 = 0" 0.0
+    (qldae_of_g1 (Mat.scale 0.01 (Mat.identity 200)));
+  check_s0 "zero column: s0 = 1" 1.0
+    (qldae_of_g1 (Mat.init 4 4 (fun i j -> if j = 3 then 0.0 else float_of_int (i + j + 1))));
+  check_s0 "borderline pivot: s0 = 1" 1.0
+    (qldae_of_g1 (Mat.init 4 4 (fun i j -> if i <> j then 0.0 else if i = 3 then 1e-40 else -1.0)));
+  (* the choice is unchanged on the paper figures' models and on every
+     model family of the benchmark, across its sizes and coefficients *)
+  let module M = Circuit.Models in
+  let recentred q =
+    let u0 = Vec.of_list [ 22.0 ] in
+    let x0 = Volterra.Qldae.dc_operating_point q ~u0 in
+    Volterra.Qldae.shift_equilibrium q ~x0 ~u0
+  in
+  check_s0 "fig2 NLTL-V" 1.0 (M.qldae (M.nltl_voltage ~stages:50 ()));
+  check_s0 "fig3 NLTL-I" 1.0 (M.qldae (M.nltl_current ~stages:35 ()));
+  check_s0 "fig4 RF receiver" 0.0
+    (M.qldae (M.rf_receiver ~lna_stages:86 ~pa_stages:87 ()));
+  check_s0 "fig5 varistor" 0.0 (recentred (M.qldae (M.varistor ~sections:97 ())));
+  List.iter
+    (fun n ->
+      List.iter
+        (fun coeff ->
+          let tag fam = Printf.sprintf "%s n=%d coeff=%g" fam n coeff in
+          check_s0 (tag "nltl_v") 1.0
+            (M.qldae
+               (M.nltl ~stages:(n / 2) ~alpha:(40.0 *. coeff)
+                  ~source:(`Voltage 1.0) ~ground_diode:true ()));
+          check_s0 (tag "nltl_i") 1.0
+            (M.qldae
+               (M.nltl ~stages:(n / 2) ~alpha:(40.0 *. coeff) ~source:`Current
+                  ~ground_diode:false ~linear_front:1 ()));
+          check_s0 (tag "rf") 0.0
+            (M.qldae
+               (M.rf_receiver ~lna_stages:(n / 2) ~pa_stages:(n - (n / 2))
+                  ~g2_lna:(0.5 *. coeff) ~g2_pa:(1.0 *. coeff) ()));
+          check_s0 (tag "varistor") 0.0
+            (recentred (M.qldae (M.varistor ~sections:(n - 5) ~g3_var:(2.4 *. coeff) ()))))
+        [ 0.95; 1.0; 1.05 ])
+    [ 34; 40; 42; 45; 50; 58 ]
+
 (* ---- MISO enumeration ---- *)
 
 let test_miso_moments_counts () =
@@ -509,5 +657,8 @@ let suite =
           test_association_diagonal_kernel_h3_cubic;
         tc "MISO moment enumeration" `Quick test_miso_moments_counts;
         tc "MISO mixed-pair H2assoc" `Quick test_miso_h2_eval_vs_dense;
+        tc "H3 moments = three-pairing reference" `Quick
+          test_h3_moments_vs_reference;
+        tc "default s0: pivot scale without underflow" `Quick test_default_s0;
       ] );
   ]

@@ -2,8 +2,7 @@
    §15): tick/merge exactness of the per-domain accumulators under 4
    domains, bit-identical fig2/fig3 cost counters across repeated runs
    and across 1-vs-4-domain executions, per-span cost deltas summing to
-   the process-wide delta, JSONL round-trips of cost.* members, the
-   bench gate's exact (zero-tolerance) cost bands, and the
+   the process-wide delta, JSONL round-trips of cost.* members, and the
    bench-history append/load/render round-trip. *)
 
 open La
@@ -183,67 +182,6 @@ let test_flops_rate_guard () =
   check_bool "normal rate renders a number" true
     (String.equal "2e+06" (Obs.Trace.flops_rate ~flops:1000 ~seconds:5e-4))
 
-(* ---- bench gate: exact cost bands ---- *)
-
-let cost_bench ?cost () =
-  let cost_member =
-    match cost with
-    | None -> ""
-    | Some entries ->
-      Printf.sprintf {|"cost": {%s},|}
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf {|"%s": %d|} k v) entries))
-  in
-  Printf.sprintf
-    {|{
-  "scale": 0.25,
-  "experiments": [
-    {
-      "id": "fig_cost",
-      "title": "cost gate test",
-      "full_states": 40,
-      "wall_seconds": 1.0,
-      "counters": {"lu_factor": 100},
-      %s
-      "roms": []
-    }
-  ]
-}|}
-    cost_member
-
-let gate ?(ignore_wall = true) old_s new_s =
-  Gatecheck.check ~ignore_wall ~baseline:(Gatecheck.parse old_s)
-    ~fresh:(Gatecheck.parse new_s) ()
-
-let test_gate_cost_exact () =
-  let entries = [ ("flops_lu", 144_000); ("bytes_read", 57_600) ] in
-  let base = cost_bench ~cost:entries () in
-  check_int "identical cost passes" 0 (List.length (gate base base));
-  (* exact band: a single-flop drift is a violation *)
-  let drift = cost_bench ~cost:[ ("flops_lu", 144_001); ("bytes_read", 57_600) ] () in
-  (match gate base drift with
-  | [ v ] ->
-    check_bool "violation names the cost counter" true
-      (contains ~needle:"flops_lu" v.Gatecheck.metric);
-    check_bool "band is exact" true (String.equal "exact" v.Gatecheck.allowed)
-  | vs -> Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs)));
-  (* a counter vanishing (or appearing) fails via the union walk *)
-  check_int "cost counter vanishing fails" 1
-    (List.length (gate base (cost_bench ~cost:[ ("flops_lu", 144_000) ] ())));
-  (* structural presence mirrors the gc block *)
-  check_int "cost block disappearing fails" 1
-    (List.length (gate base (cost_bench ())));
-  check_int "cost block appearing fails (refresh baseline)" 1
-    (List.length (gate (cost_bench ()) base));
-  check_int "cost absent on both sides passes" 0
-    (List.length (gate (cost_bench ()) (cost_bench ())));
-  (* cost bands hold even when wall checks are skipped: --ignore-wall
-     must not disable the deterministic perf pin *)
-  check_int "exact band enforced under --ignore-wall" 1
-    (List.length (gate ~ignore_wall:true base drift));
-  check_int "exact band enforced with wall checks on" 1
-    (List.length (gate ~ignore_wall:false base drift))
-
 (* ---- bench history: append/load/render round-trip ---- *)
 
 let with_temp_dir f =
@@ -337,8 +275,6 @@ let suite =
           test_jsonl_roundtrip;
         Alcotest.test_case "flops-rate zero-duration guard" `Quick
           test_flops_rate_guard;
-        Alcotest.test_case "gate: exact cost bands" `Quick
-          test_gate_cost_exact;
         Alcotest.test_case "bench-history round-trip" `Quick
           test_history_roundtrip;
       ] );

@@ -1,6 +1,6 @@
 (* Numerical-health telemetry (PR 4): Arnoldi orthogonality tracking,
    condition estimators, a-posteriori moment residuals, trace analysis
-   round-trips, and the bench regression gate. *)
+   round-trips. *)
 
 open La
 open Volterra
@@ -241,74 +241,6 @@ let test_trace_roundtrip () =
       (* the matvec counter is 1 in both traces -> an exact zero delta *)
       check_bool "self-diff shows unchanged counters" true (has diff "+0.0%"))
 
-(* ---- bench gate ---- *)
-
-let bench_json ?(scale = 0.25) ?(wall = 1.0) ?(lu_factor = 100)
-    ?(max_rel_error = 0.01) ?(order = 8) () =
-  Printf.sprintf
-    {|{
-  "scale": %g,
-  "experiments": [
-    {
-      "id": "fig_t",
-      "title": "gate test",
-      "full_states": 40,
-      "wall_seconds": %.6f,
-      "counters": {"lu_factor": %d, "matvec": 1000},
-      "roms": [{"method": "Proposed", "order": %d, "raw_moments": 10,
-                "reduction_seconds": 0.1, "max_rel_error": %.8f}]
-    }
-  ]
-}|}
-    scale wall lu_factor order max_rel_error
-
-let gate ?(ignore_wall = false) old_s new_s =
-  Gatecheck.check ~ignore_wall ~baseline:(Gatecheck.parse old_s)
-    ~fresh:(Gatecheck.parse new_s) ()
-
-let test_gate_pass_fail () =
-  let base = bench_json () in
-  check_int "identical runs pass" 0 (List.length (gate base base));
-  check_int "counter wobble within 10% passes" 0
-    (List.length (gate base (bench_json ~lu_factor:105 ())));
-  check_int "counter jump fails" 1
-    (List.length (gate base (bench_json ~lu_factor:150 ())));
-  check_int "counter drop fails (stale baseline visible)" 1
-    (List.length (gate base (bench_json ~lu_factor:3 ())));
-  check_int "gross wall regression fails" 1
-    (List.length (gate base (bench_json ~wall:10.0 ())));
-  check_int "--ignore-wall skips it" 0
-    (List.length (gate ~ignore_wall:true base (bench_json ~wall:10.0 ())));
-  check_int "error within 2x passes" 0
-    (List.length (gate base (bench_json ~max_rel_error:0.015 ())));
-  check_int "error beyond 2x fails" 1
-    (List.length (gate base (bench_json ~max_rel_error:0.03 ())));
-  check_int "error improvement passes" 0
-    (List.length (gate base (bench_json ~max_rel_error:0.0001 ())));
-  check_int "order change fails" 1
-    (List.length (gate base (bench_json ~order:12 ())));
-  check_int "scale mismatch fails" 1
-    (List.length (gate base (bench_json ~scale:1.0 ())));
-  (* violations render as a table, one line per violation + header *)
-  let vs = gate base (bench_json ~lu_factor:150 ~max_rel_error:0.5 ()) in
-  check_int "both violations reported" 2 (List.length vs);
-  check_bool "renders readably" true
-    (String.length (Gatecheck.render vs) > 0);
-  check_bool "clean render says OK" true
-    (String.equal (Gatecheck.render []) "bench gate: OK\n")
-
-let test_gate_structural () =
-  let base = bench_json () in
-  let missing = {|{ "scale": 0.25, "experiments": [] }|} in
-  check_int "missing experiment fails" 1 (List.length (gate base missing));
-  check_int "unexpected experiment fails" 1 (List.length (gate missing base));
-  (match Gatecheck.parse base with
-  | b -> check_int "parse keeps experiments" 1 (List.length b.Gatecheck.experiments));
-  check_bool "malformed input raises Bad_bench" true
-    (match Gatecheck.parse "{ not json" with
-    | exception Gatecheck.Bad_bench _ -> true
-    | _ -> false)
-
 let suite =
   [
     ( "health",
@@ -327,9 +259,5 @@ let suite =
           test_reduce_emits_health;
         Alcotest.test_case "trace round-trip, report and self-diff" `Quick
           test_trace_roundtrip;
-        Alcotest.test_case "bench gate pass/fail deltas" `Quick
-          test_gate_pass_fail;
-        Alcotest.test_case "bench gate structural checks" `Quick
-          test_gate_structural;
       ] );
   ]

@@ -1,8 +1,7 @@
 (* Tests for the profiling layer: per-span GC/allocation capture
    (Obs.Prof), exclusive-time/allocation attribution, the Chrome
    trace-event and folded-stack exporters, the zero-denominator guard
-   in trace diffs, Obs.Json rendering edge cases, and the GC band of
-   the bench gate. *)
+   in trace diffs and Obs.Json rendering edge cases. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -350,57 +349,6 @@ let test_json_render_parse_roundtrip () =
   check_bool "render/parse round-trip" true
     (Obs.Json.parse (Obs.Json.render v) = v)
 
-(* ---- bench gate: gc bands ---- *)
-
-let gc_bench ?gc () =
-  let gc_member =
-    match gc with
-    | None -> ""
-    | Some (minor, major) ->
-      Printf.sprintf {|"gc": {"minor_words": %.0f, "major_words": %.0f},|}
-        minor major
-  in
-  Printf.sprintf
-    {|{
-  "scale": 0.25,
-  "experiments": [
-    {
-      "id": "fig_gc",
-      "title": "gc gate test",
-      "full_states": 40,
-      "wall_seconds": 1.0,
-      "counters": {"lu_factor": 100},
-      %s
-      "roms": []
-    }
-  ]
-}|}
-    gc_member
-
-let gate old_s new_s =
-  Gatecheck.check ~ignore_wall:true ~baseline:(Gatecheck.parse old_s)
-    ~fresh:(Gatecheck.parse new_s) ()
-
-let test_gate_gc_band () =
-  let base = gc_bench ~gc:(1_000_000.0, 50_000.0) () in
-  check_int "identical gc passes" 0
-    (List.length (gate base (gc_bench ~gc:(1_000_000.0, 50_000.0) ())));
-  check_int "gc within 25% passes" 0
-    (List.length (gate base (gc_bench ~gc:(1_200_000.0, 55_000.0) ())));
-  check_int "minor_words jump fails" 1
-    (List.length (gate base (gc_bench ~gc:(1_300_000.0, 50_000.0) ())));
-  check_int "major_words collapse fails" 1
-    (List.length (gate base (gc_bench ~gc:(1_000_000.0, 10_000.0) ())));
-  check_int "both gc words out of band" 2
-    (List.length (gate base (gc_bench ~gc:(2_000_000.0, 200_000.0) ())));
-  (* structural presence: a gc block may not silently (dis)appear *)
-  check_int "gc disappearing fails" 1
-    (List.length (gate base (gc_bench ())));
-  check_int "gc appearing fails (refresh baseline)" 1
-    (List.length (gate (gc_bench ()) base));
-  check_int "gc absent on both sides passes" 0
-    (List.length (gate (gc_bench ()) (gc_bench ())))
-
 let suite =
   [
     ( "prof",
@@ -426,6 +374,5 @@ let suite =
         Alcotest.test_case "json deep nesting" `Quick test_json_deep_nesting;
         Alcotest.test_case "json render/parse round-trip" `Quick
           test_json_render_parse_roundtrip;
-        Alcotest.test_case "bench gate gc bands" `Quick test_gate_gc_band;
       ] );
   ]

@@ -1,6 +1,5 @@
 (* Tests for lane-exact span counters under Par, deterministic quantile
-   histograms (Obs.Qhist) and the OpenMetrics exporter — plus the bench
-   gate's latency block.
+   histograms (Obs.Qhist) and the OpenMetrics exporter.
 
    The load-bearing assertions are the exactness ones: spans opened in
    concurrent Par lanes must see only their own work (Span diffs the
@@ -324,51 +323,6 @@ let test_legacy_scope_lines_skipped () =
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l));
   check_int "scope line dropped" 1 (List.length t.Obs.Trace.roots)
 
-(* ---- bench gate: latency block pass/fail matrix ---- *)
-
-let bench_src ?latency () =
-  let lat =
-    match latency with
-    | None -> ""
-    | Some (p50, p99, det_p50) ->
-      Printf.sprintf
-        ",\n\
-        \  \"latency\": {\"requests\": 32, \"p50_s\": %s, \"p99_s\": %s, \
-         \"det\": {\"count\": 4096, \"nonzero_buckets\": 160, \"p50\": %s, \
-         \"p90\": 63.25, \"p99\": 774.5}}"
-        p50 p99 det_p50
-  in
-  Printf.sprintf "{\"scale\": 0.25,\n  \"experiments\": []%s}\n" lat
-
-let violations ?(ignore_wall = false) base fresh =
-  Gatecheck.check ~ignore_wall ~baseline:(Gatecheck.parse base)
-    ~fresh:(Gatecheck.parse fresh) ()
-
-let test_gate_latency_matrix () =
-  let good = bench_src ~latency:("0.5", "0.75", "0.000753") () in
-  check_int "identical passes" 0 (List.length (violations good good));
-  (* det drift fails even under --ignore-wall: the fingerprint is the
-     determinism contract, not a timing *)
-  let det_drift = bench_src ~latency:("0.5", "0.75", "0.000754") () in
-  check_int "det drift fails" 1
-    (List.length (violations ~ignore_wall:true good det_drift));
-  (* wall quantile drift: banded without --ignore-wall, skipped with *)
-  let slow = bench_src ~latency:("1.2", "0.75", "0.000753") () in
-  check_int "p50 blowup fails with walls on" 1
-    (List.length (violations good slow));
-  check_int "p50 blowup skipped under ignore-wall" 0
-    (List.length (violations ~ignore_wall:true good slow));
-  (* small wall wobble stays inside the band *)
-  let wobble = bench_src ~latency:("0.5625", "0.875", "0.000753") () in
-  check_int "one-bucket wobble passes" 0
-    (List.length (violations good wobble));
-  (* structural both directions *)
-  let absent = bench_src () in
-  check_int "block disappearing fails" 1
-    (List.length (violations ~ignore_wall:true good absent));
-  check_int "block appearing vs old baseline fails" 1
-    (List.length (violations ~ignore_wall:true absent good))
-
 let suite =
   [
     ( "span.lanes",
@@ -399,7 +353,5 @@ let suite =
           test_openmetrics_validator_rejects;
         Alcotest.test_case "legacy scope lines skipped" `Quick
           test_legacy_scope_lines_skipped;
-        Alcotest.test_case "gate latency matrix" `Quick
-          test_gate_latency_matrix;
       ] );
   ]

@@ -81,6 +81,30 @@ let test_gate_structural () =
     | exception Gatecheck.Bad_bench _ -> true
     | _ -> false)
 
+(* ROMs pair up by position: a renamed method or a ROM added or
+   dropped is structure, one violation each *)
+let test_gate_rom_structure () =
+  let roms ms =
+    Printf.sprintf
+      {|{"scale": 0.25, "experiments": [{"id": "fig_r", "title": "rom test",
+  "full_states": 40, "wall_seconds": 1.0, "counters": {}, "roms": [%s]}]}|}
+      (String.concat ", "
+         (List.map
+            (fun m ->
+              Printf.sprintf
+                {|{"method": "%s", "order": 8, "raw_moments": 10,
+                   "reduction_seconds": 0.1, "max_rel_error": 0.01}|}
+                m)
+            ms))
+  in
+  let base = roms [ "Proposed"; "NORM" ] in
+  check_int "identical passes" 0 (List.length (gate base base));
+  check_int "method change fails" 1
+    (List.length (gate base (roms [ "Proposed"; "Multipoint" ])));
+  check_int "dropped ROM fails" 1 (List.length (gate base (roms [ "Proposed" ])));
+  check_int "added ROM fails" 1
+    (List.length (gate (roms [ "Proposed" ]) base))
+
 (* ---- exact cost bands ---- *)
 
 let cost_bench ?cost () =
@@ -121,7 +145,7 @@ let test_gate_cost_exact () =
       (contains ~needle:"flops_lu" v.Gatecheck.metric);
     check_bool "band is exact" true (String.equal "exact" v.Gatecheck.allowed)
   | vs -> Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs)));
-  (* a counter vanishing (or appearing) fails via the union walk *)
+  (* a counter vanishing (or appearing) fails the presence walk *)
   check_int "cost counter vanishing fails" 1
     (List.length (gate base (cost_bench ~cost:[ ("flops_lu", 144_000) ] ())));
   (* structural presence mirrors the gc block *)
@@ -249,6 +273,17 @@ let test_gate_overheads () =
        (gate base
           (overheads_src [ ("budget_poll", 0.5); ("trace", 0.25); ("new", 0.1) ])))
 
+(* Presence is structure, not timing: a budget pass that stops emitting
+   an overhead must fail the deterministic runtest smoke too. *)
+let test_gate_overheads_presence_ignore_wall () =
+  let base = overheads_src [ ("budget_poll", 0.5); ("trace", 0.25) ] in
+  check_int "name vanishing fails under --ignore-wall" 1
+    (List.length
+       (gate ~ignore_wall:true base (overheads_src [ ("budget_poll", 0.5) ])));
+  check_int "name appearing fails under --ignore-wall" 1
+    (List.length
+       (gate ~ignore_wall:true (overheads_src [ ("budget_poll", 0.5) ]) base))
+
 (* ---- Vmor.Par lines ---- *)
 
 let par_src ?(cores = 2) ?(serial = 0.003) ?(speedup = 1.0) ?(overhead = 0.0)
@@ -361,6 +396,8 @@ let suite =
           test_gate_pass_fail;
         Alcotest.test_case "bench gate structural checks" `Quick
           test_gate_structural;
+        Alcotest.test_case "ROM method and count are structure" `Quick
+          test_gate_rom_structure;
         Alcotest.test_case "gate: exact cost bands" `Quick
           test_gate_cost_exact;
         Alcotest.test_case "bench gate gc bands" `Quick test_gate_gc_band;
@@ -368,6 +405,8 @@ let suite =
           test_gate_latency_matrix;
         Alcotest.test_case "overhead +1pt band and presence" `Quick
           test_gate_overheads;
+        Alcotest.test_case "overhead presence under --ignore-wall" `Quick
+          test_gate_overheads_presence_ignore_wall;
         Alcotest.test_case "par block, names and lines" `Quick test_gate_par;
         Alcotest.test_case "committed snapshot matrix" `Quick
           test_gate_snapshots;

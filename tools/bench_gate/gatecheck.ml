@@ -1,65 +1,18 @@
 (* Bench regression gate: compare a fresh bench/out/bench.json against
    the checked-in bench/baseline.json and list tolerance violations.
 
-   The comparison layers match how the numbers fail in practice:
-   - wall times are noisy -> generous +-30% band with an absolute
-     floor (sub-quarter-second measurements are timer noise at reduced
-     scale), and skippable entirely (--ignore-wall) for the
-     deterministic runtest smoke;
-   - kernel counters and ROM orders are deterministic at fixed scale ->
-     exact, with a +-10% escape hatch for counts that legitimately
-     wobble with iteration-dependent control flow (Newton iterations,
-     step-size control);
-   - accuracy must never quietly regress -> max_rel_error may drift but
-     not beyond 2x the baseline.
+   Every number a bench run writes becomes one row — where, metric,
+   value and band — and [rows] below is the one table of how each may
+   move.  The gate is two walks over the baseline's and the fresh
+   run's rows: [presence] (no block and no name within a block may
+   appear or vanish) and [compare_rows] (each matched row stays inside
+   its band).  Wall-derived bands are flagged and skipped under
+   --ignore-wall, the deterministic runtest smoke; presence and every
+   deterministic band hold in both modes.
 
    This is a library so the test suite can drive the same logic on
    hand-crafted JSON; tools/bench_gate/main.ml is the thin CLI around
    it and `dune build @gate` wires it to a reduced-scale bench run. *)
-
-let wall_tolerance = 0.30
-(* Absolute slack under the relative wall band: reduced-scale runs
-   take a few seconds, and shared machines routinely jitter that much.
-   Wall checks exist to catch gross blowups (an accidental O(n^2)
-   inner loop, a hung solve); the deterministic counter comparison is
-   what pins down algorithmic regressions. *)
-let wall_floor = 2.0  (* seconds *)
-let counter_tolerance = 0.10
-let error_factor = 2.0
-
-(* GC word counts are deterministic-ish at fixed scale but move with
-   allocator batching and minor-heap sizing across runtimes, so the
-   band is wider than the counter one.  An allocation regression worth
-   flagging (a copy in a hot loop) blows well past 25%. *)
-let gc_tolerance = 0.25
-
-(* Overhead percentages (budget polling) are ratios of two wall times,
-   so they jitter like wall times do; the band is an absolute
-   percentage-point allowance over the pinned baseline, not a relative
-   one (a 0.1% baseline doubling to 0.2% is noise, not a regression). *)
-let overhead_slack = 1.0  (* percentage points *)
-
-(* Vmor.Par bands: absolute lines on the fresh run (not
-   baseline-relative — the baseline pins structure, the bands pin the
-   contract).  Both are ratios of wall times, so they are skipped
-   under --ignore-wall, and both only mean anything once the serial
-   wall clears a noise floor: a few-ms reduction at reduced scale
-   measures timer granularity and scheduler jitter, not kernel
-   scaling.  The speedup line additionally needs a host that can run
-   4 domains in parallel (the fresh run records its core count). *)
-let par_speedup_min = 2.5  (* 4-domain speedup on >= 4 cores *)
-let par_overhead_max = 2.0  (* percent: 1-domain over serial *)
-let par_wall_floor = 0.05  (* seconds of serial wall *)
-
-(* Request-latency quantiles are sub-second, so the experiment wall
-   band's 2s absolute floor would swallow them entirely — they get
-   their own, tighter floor.  The relative band is wider than the
-   experiment one because a p50/p99 of 32 requests carries both
-   order-statistic noise and the Qhist's log-linear bucket quantization
-   (~19% between adjacent bucket interpolants), so a one-bucket shift
-   must stay inside the band. *)
-let latency_wall_tolerance = 0.50
-let latency_wall_floor = 0.15  (* seconds *)
 
 type rom = {
   method_name : string;
@@ -203,6 +156,100 @@ let load (path : string) : bench =
   close_in ic;
   try parse src with Bad_bench m -> bad "%s: %s" path m
 
+(* How a number may move from the baseline to the fresh run. *)
+type rule =
+  | Info  (* presence only *)
+  | Exact of string  (* equal, else the [allowed] text *)
+  | Rel of { tol : float; floor : float }
+      (* fails when |new - old| exceeds both [tol] * |old| and [floor];
+         with no floor, small integers must match exactly *)
+  | Factor of float  (* new <= k * old *)
+  | Slack of float  (* new <= old + k *)
+  | Line of { fails : float -> bool; note : string; allowed : string }
+      (* an absolute line on the fresh value alone; [note] fills the
+         baseline column *)
+
+type band = { rule : rule; wall : bool  (* skipped under --ignore-wall *) }
+
+let info = { rule = Info; wall = false }
+let must_match = { rule = Exact "must match"; wall = false }
+
+(* Obs.Cost work counters are nominal functions of operand dimensions
+   only, so any drift is a real change in the work performed (or in the
+   charge model itself) and needs a deliberate baseline refresh.  Not
+   wall-flagged: they are the deterministic, wall-free performance pin,
+   so the runtest smoke enforces them too. *)
+let exact = { rule = Exact "exact"; wall = false }
+
+(* The latency det sub-block is a fixed synthetic stream through the
+   production Qhist geometry — integer LCG + ldexp only — so its
+   quantiles survive the JSON round trip bit-for-bit via %.17g: any
+   drift is a real change in bucket indexing, merge arithmetic or
+   quantile interpolation. *)
+let fingerprint =
+  { rule = Exact "exact (deterministic fingerprint)"; wall = false }
+
+(* Kernel counters and ROM orders are deterministic at fixed scale;
+   the 10% escape hatch is for counts that legitimately wobble with
+   iteration-dependent control flow (Newton iterations, step-size
+   control). *)
+let counter = { rule = Rel { tol = 0.10; floor = 0.0 }; wall = false }
+
+(* GC word counts are deterministic-ish at fixed scale but move with
+   allocator batching and minor-heap sizing across runtimes, so the
+   band is wider than the counter one.  An allocation regression worth
+   flagging (a copy in a hot loop) blows well past 25%. *)
+let gc_words = { rule = Rel { tol = 0.25; floor = 0.0 }; wall = false }
+
+(* Wall times are noisy.  The 2 s absolute floor under the relative
+   band: reduced-scale runs take a few seconds, and shared machines
+   routinely jitter that much.  Wall checks exist to catch gross
+   blowups (an accidental O(n^2) inner loop, a hung solve); the
+   deterministic counter comparison is what pins down algorithmic
+   regressions. *)
+let experiment_wall = { rule = Rel { tol = 0.30; floor = 2.0 }; wall = true }
+
+(* Request-latency quantiles are sub-second, so the experiment wall
+   band's 2 s floor would swallow them entirely — they get their own,
+   tighter floor.  The relative band is wider than the experiment one
+   because a p50/p99 of 32 requests carries both order-statistic noise
+   and the Qhist's log-linear bucket quantization (~19% between
+   adjacent bucket interpolants), so a one-bucket shift must stay
+   inside the band. *)
+let latency_wall = { rule = Rel { tol = 0.50; floor = 0.15 }; wall = true }
+
+(* Accuracy must never quietly regress: max_rel_error may drift, but
+   not beyond 2x the baseline. *)
+let error = { rule = Factor 2.0; wall = false }
+
+(* Overhead percentages (budget polling) are ratios of two wall times,
+   so they jitter like wall times do; the band is an absolute
+   percentage-point allowance over the pinned baseline, not a relative
+   one (a 0.1% baseline doubling to 0.2% is noise, not a regression). *)
+let overhead = { rule = Slack 1.0; wall = true }
+
+(* Vmor.Par lines: absolute on the fresh run (the baseline pins
+   structure, the lines pin the contract).  Both are ratios of wall
+   times, so they are wall-flagged, and both only mean anything once
+   the serial wall clears a noise floor: a few-ms reduction at reduced
+   scale measures timer granularity and scheduler jitter, not kernel
+   scaling.  The speedup line additionally needs a host that can run 4
+   domains in parallel (the fresh run records its core count). *)
+let par_speedup_min = 2.5  (* 4-domain speedup on >= 4 cores *)
+let par_overhead_max = 2.0  (* percent: 1-domain over serial *)
+let par_wall_floor = 0.05  (* seconds of serial wall *)
+
+(* One number of a bench run and the band it is held to. *)
+type row = {
+  id : string;  (* match key, unique within one bench *)
+  parent : string;  (* id of the enclosing block's header row; "" at top *)
+  where : string;
+  metric : string;
+  v : float;
+  show : string;
+  band : band;
+}
+
 (* One violated tolerance; [where] locates it (experiment / ROM),
    [allowed] restates the band that was broken. *)
 type violation = {
@@ -213,432 +260,179 @@ type violation = {
   allowed : string;
 }
 
-let rel_diff ~old_v ~new_v =
-  Float.abs (new_v -. old_v) /. Float.max (Float.abs old_v) 1e-12
-
-let check_wall ~where ~metric acc old_v new_v =
-  if rel_diff ~old_v ~new_v > wall_tolerance
-     && Float.abs (new_v -. old_v) > wall_floor
-  then
-    {
-      where;
-      metric;
-      baseline = Printf.sprintf "%.4fs" old_v;
-      current = Printf.sprintf "%.4fs" new_v;
-      allowed = Printf.sprintf "+-%.0f%%" (100.0 *. wall_tolerance);
-    }
-    :: acc
-  else acc
-
-(* exact-or-+-10%: integer quantities that are deterministic except for
-   iteration-count wobble *)
-let check_count ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else if
-    float_of_int (abs (new_v - old_v)) /. Float.max (float_of_int (abs old_v)) 1.0
-    > counter_tolerance
-  then
-    {
-      where;
-      metric;
-      baseline = string_of_int old_v;
-      current = string_of_int new_v;
-      allowed = Printf.sprintf "exact or +-%.0f%%" (100.0 *. counter_tolerance);
-    }
-    :: acc
-  else acc
-
-(* exact, no band: Obs.Cost work counters are nominal functions of
-   operand dimensions only, so any drift is a real change in the work
-   performed (or in the charge model itself) and needs a deliberate
-   baseline refresh. *)
-let check_cost ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else
-    {
-      where;
-      metric;
-      baseline = string_of_int old_v;
-      current = string_of_int new_v;
-      allowed = "exact";
-    }
-    :: acc
-
-(* exact-or-+-25%: GC word counts, see [gc_tolerance] *)
-let check_gc_words ~where ~metric acc old_v new_v =
-  if old_v = new_v then acc
-  else if
-    Float.abs (new_v -. old_v) /. Float.max (Float.abs old_v) 1.0
-    > gc_tolerance
-  then
-    {
-      where;
-      metric;
-      baseline = Printf.sprintf "%.0f" old_v;
-      current = Printf.sprintf "%.0f" new_v;
-      allowed = Printf.sprintf "exact or +-%.0f%%" (100.0 *. gc_tolerance);
-    }
-    :: acc
-  else acc
-
-let check_error ~where acc old_v new_v =
-  if new_v > (error_factor *. old_v) +. 1e-9 then
-    {
-      where;
-      metric = "max_rel_error";
-      baseline = Printf.sprintf "%.6f" old_v;
-      current = Printf.sprintf "%.6f" new_v;
-      allowed = Printf.sprintf "<= %gx baseline" error_factor;
-    }
-    :: acc
-  else acc
-
-let structural ~where ~metric ~baseline ~current acc =
-  { where; metric; baseline; current; allowed = "must match" } :: acc
-
-let check_rom ~ignore_wall ~where acc (old_r : rom) (new_r : rom) =
-  let acc =
-    if String.equal old_r.method_name new_r.method_name then acc
-    else
-      structural ~where ~metric:"method" ~baseline:old_r.method_name
-        ~current:new_r.method_name acc
+let rows (b : bench) : row list =
+  let row ?(parent = "") ?key where metric band (v, show) =
+    let id = Option.value key ~default:where ^ " " ^ metric in
+    { id; parent; where; metric; v; show; band }
   in
-  let acc = check_count ~where ~metric:"order" acc old_r.order new_r.order in
-  let acc =
-    check_count ~where ~metric:"raw_moments" acc old_r.raw_moments
-      new_r.raw_moments
+  let int i = (float_of_int i, string_of_int i)
+  and num fmt x = (x, Printf.sprintf fmt x)
+  and no_value = (0.0, "") in
+  (* a block present as a whole or not at all: a header row plus its
+     entries, which are presence-checked only where the header is on
+     both sides *)
+  let block ?parent where name ~prefix = function
+    | None -> []
+    | Some entries ->
+      row ?parent where name info no_value
+      :: List.map
+           (fun (m, band, x) ->
+             row ~parent:(where ^ " " ^ name) where (prefix ^ m) band x)
+           entries
   in
-  (* reduction_seconds stays informational: per-ROM timings at reduced
-     scale sit well under the noise floor, the experiment-level wall
-     band above already covers real slowdowns *)
-  ignore ignore_wall;
-  check_error ~where acc old_r.max_rel_error new_r.max_rel_error
-
-let check_experiment ~ignore_wall acc (old_e : experiment) (new_e : experiment) =
-  let where = old_e.id in
-  let acc =
-    if old_e.full_states = new_e.full_states then acc
-    else
-      structural ~where ~metric:"full_states"
-        ~baseline:(string_of_int old_e.full_states)
-        ~current:(string_of_int new_e.full_states)
-        acc
-  in
-  let acc =
-    if ignore_wall then acc
-    else check_wall ~where ~metric:"wall_seconds" acc old_e.wall_seconds
-        new_e.wall_seconds
-  in
-  (* union of counter names, missing treated as 0 — a counter that
-     disappears entirely (dead instrumentation) fails just like one
-     that jumps *)
-  let names =
-    List.sort_uniq String.compare
-      (List.map fst old_e.counters @ List.map fst new_e.counters)
-  in
-  let get cs n = Option.value ~default:0 (List.assoc_opt n cs) in
-  let acc =
-    List.fold_left
-      (fun acc n ->
-        check_count ~where ~metric:("counter " ^ n) acc (get old_e.counters n)
-          (get new_e.counters n))
-      acc names
-  in
-  (* The cost block is structural first (its disappearance means the
-     bench stopped recording work counters; its appearance means the
-     baseline predates the cost model and needs a refresh), then exact
-     over the union of counter names.  Deliberately NOT gated by
-     [ignore_wall]: cost counters are the deterministic, wall-free
-     performance pin, so the runtest smoke enforces them too. *)
-  let acc =
-    match (old_e.cost, new_e.cost) with
-    | None, None -> acc
-    | Some _, None ->
-      structural ~where ~metric:"cost" ~baseline:"present" ~current:"missing"
-        acc
-    | None, Some _ ->
-      structural ~where ~metric:"cost" ~baseline:"absent (refresh baseline)"
-        ~current:"present" acc
-    | Some old_c, Some new_c ->
-      let names =
-        List.sort_uniq String.compare (List.map fst old_c @ List.map fst new_c)
-      in
-      List.fold_left
-        (fun acc n ->
-          check_cost ~where ~metric:("cost " ^ n) acc (get old_c n)
-            (get new_c n))
-        acc names
-  in
-  (* GC telemetry is structural first (a gc block that disappears means
-     the bench stopped recording it), banded second *)
-  let acc =
-    match (old_e.gc, new_e.gc) with
-    | None, None -> acc
-    | Some _, None -> structural ~where ~metric:"gc" ~baseline:"present" ~current:"missing" acc
-    | None, Some _ ->
-      structural ~where ~metric:"gc" ~baseline:"absent (refresh baseline)"
-        ~current:"present" acc
-    | Some (o_minor, o_major), Some (n_minor, n_major) ->
-      let acc =
-        check_gc_words ~where ~metric:"gc minor_words" acc o_minor n_minor
-      in
-      check_gc_words ~where ~metric:"gc major_words" acc o_major n_major
-  in
-  if List.length old_e.roms <> List.length new_e.roms then
-    structural ~where ~metric:"rom count"
-      ~baseline:(string_of_int (List.length old_e.roms))
-      ~current:(string_of_int (List.length new_e.roms))
-      acc
-  else
-    List.fold_left2
-      (fun acc (o : rom) n ->
-        let where = Printf.sprintf "%s/%s[q=%d]" where o.method_name o.order in
-        check_rom ~ignore_wall ~where acc o n)
-      acc old_e.roms new_e.roms
-
-(* The par block is structural first (it disappearing means the bench
-   stopped measuring parallelism; it appearing means the baseline
-   predates it and needs a refresh), banded second — and the bands are
-   absolute lines on the fresh run, conditioned on the fresh host:
-   speedup only on >= 4 usable cores, both ratios only above the
-   serial-wall noise floor. *)
-let check_par ~ignore_wall acc (old_p : par option) (new_p : par option) =
-  let where = "(par)" in
-  match (old_p, new_p) with
-  | None, None -> acc
-  | Some _, None ->
-    structural ~where ~metric:"par block" ~baseline:"present"
-      ~current:"missing" acc
-  | None, Some _ ->
-    structural ~where ~metric:"par block"
-      ~baseline:"absent (refresh baseline)" ~current:"present" acc
-  | Some old_p, Some new_p ->
-    let acc =
-      List.fold_left
-        (fun acc (name, _) ->
-          match List.assoc_opt name new_p.walls with
-          | Some _ -> acc
-          | None ->
-            structural ~where ~metric:name ~baseline:"present"
-              ~current:"missing" acc)
-        acc old_p.walls
+  let experiment (e : experiment) =
+    let parent = e.id ^ " experiment" in
+    let sub = row ~parent e.id in
+    (* ROMs pair up by position, and report under the baseline's
+       method and order.  reduction_seconds has no row: per-ROM timings
+       at reduced scale sit well under the noise floor, the experiment
+       wall band already covers real slowdowns. *)
+    let rom i (r : rom) =
+      let key = Printf.sprintf "%s rom %d" e.id i
+      and where = Printf.sprintf "%s/%s[q=%d]" e.id r.method_name r.order in
+      let sub = row ~parent:(key ^ " rom") ~key where in
+      [
+        row ~parent ~key where "rom" info no_value;
+        sub "method" must_match (0.0, r.method_name);
+        sub "order" counter (int r.order);
+        sub "raw_moments" counter (int r.raw_moments);
+        sub "max_rel_error" error (num "%.6f" r.max_rel_error);
+      ]
     in
-    let acc =
-      List.fold_left
-        (fun acc (name, _) ->
-          if List.mem_assoc name old_p.walls then acc
-          else
-            structural ~where ~metric:name
-              ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-        acc new_p.walls
+    (row e.id "experiment" info no_value
+    :: sub "full_states" must_match (int e.full_states)
+    :: sub "wall_seconds" experiment_wall (num "%.4fs" e.wall_seconds)
+    :: List.map (fun (k, c) -> sub ("counter " ^ k) counter (int c)) e.counters)
+    @ block ~parent e.id "cost" ~prefix:"cost "
+        (Option.map (List.map (fun (k, c) -> (k, exact, int c))) e.cost)
+    @ block ~parent e.id "gc" ~prefix:"gc "
+        (Option.map
+           (fun (minor, major) ->
+             [
+               ("minor_words", gc_words, num "%.0f" minor);
+               ("major_words", gc_words, num "%.0f" major);
+             ])
+           e.gc)
+    @ List.concat (List.mapi rom e.roms)
+  in
+  let par (p : par) =
+    let armed =
+      Option.value ~default:0.0 (List.assoc_opt "serial_wall" p.walls)
+      >= par_wall_floor
     in
-    if ignore_wall then acc
-    else
-      let get name =
-        Option.value ~default:0.0 (List.assoc_opt name new_p.walls)
-      in
-      if get "serial_wall" < par_wall_floor then acc
-      else
-        let acc =
-          let s4 = get "speedup_4" in
-          if new_p.cores >= 4 && s4 < par_speedup_min then
-            {
-              where;
-              metric = "speedup_4";
-              baseline = Printf.sprintf "%d cores" new_p.cores;
-              current = Printf.sprintf "%.2fx" s4;
-              allowed = Printf.sprintf ">= %.1fx on >= 4 cores" par_speedup_min;
-            }
-            :: acc
-          else acc
+    let line fails note allowed =
+      { rule = Line { fails; note; allowed }; wall = true }
+    in
+    List.map
+      (fun (n, x) ->
+        match n with
+        | "speedup_4" when armed && p.cores >= 4 ->
+          ( n,
+            line
+              (fun s -> s < par_speedup_min)
+              (Printf.sprintf "%d cores" p.cores)
+              (Printf.sprintf ">= %.1fx on >= 4 cores" par_speedup_min),
+            num "%.2fx" x )
+        | "overhead_1_pct" when armed ->
+          ( n,
+            line
+              (fun o -> o > par_overhead_max)
+              "serial wall"
+              (Printf.sprintf "<= %.1f%%" par_overhead_max),
+            num "%+.2f%%" x )
+        | _ -> (n, info, no_value))
+      p.walls
+  in
+  let latency (l : latency) =
+    [
+      ("requests", exact, int l.requests);
+      ("det.count", exact, int l.det_count);
+      ("det.nonzero_buckets", exact, int l.det_nonzero);
+      ("det.p50", fingerprint, num "%.17g" l.det_p50);
+      ("det.p90", fingerprint, num "%.17g" l.det_p90);
+      ("det.p99", fingerprint, num "%.17g" l.det_p99);
+      ("p50_s", latency_wall, num "%.4fs" l.p50_s);
+      ("p99_s", latency_wall, num "%.4fs" l.p99_s);
+    ]
+  in
+  (row "(run)" "scale" must_match (num "%g" b.scale)
+  :: List.concat_map experiment b.experiments)
+  @ List.map
+      (fun (n, x) -> row "(overheads)" n overhead (num "%.2f%%" x))
+      b.overheads
+  @ block "(par)" "par block" ~prefix:"" (Option.map par b.par)
+  @ block "(latency)" "latency block" ~prefix:"" (Option.map latency b.latency)
+
+(* Structure before bands: a block or a name within a block that
+   vanished means the bench stopped recording it (dead
+   instrumentation fails just like a jump); one that appeared means the
+   baseline predates it and needs a refresh.  Never skipped under
+   --ignore-wall — presence is structure, not timing. *)
+let presence (old_rows : row list) (new_rows : row list) : violation list =
+  let only_in rs others ~baseline ~current =
+    let ids = Hashtbl.create 256 in
+    List.iter (fun r -> Hashtbl.replace ids r.id ()) others;
+    List.filter_map
+      (fun r ->
+        if Hashtbl.mem ids r.id
+           || not (String.equal r.parent "" || Hashtbl.mem ids r.parent)
+        then None
+        else
+          Some
+            { where = r.where; metric = r.metric; baseline; current;
+              allowed = "must match" })
+      rs
+  in
+  only_in old_rows new_rows ~baseline:"present" ~current:"missing"
+  @ only_in new_rows old_rows ~baseline:"absent (refresh baseline)"
+      ~current:"present"
+
+(* Each row on both sides against the fresh row's band (the Par lines
+   depend on the fresh host). *)
+let compare_rows ~ignore_wall (old_rows : row list) (new_rows : row list) :
+    violation list =
+  let old = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace old r.id r) old_rows;
+  List.filter_map
+    (fun (n : row) ->
+      match Hashtbl.find_opt old n.id with
+      | None -> None
+      | Some _ when ignore_wall && n.band.wall -> None
+      | Some o ->
+        let d = Float.abs (n.v -. o.v) in
+        let broken ?(baseline = o.show) allowed =
+          Some
+            { where = o.where; metric = o.metric; baseline; current = n.show;
+              allowed }
         in
-        let o1 = get "overhead_1_pct" in
-        if o1 > par_overhead_max then
-          {
-            where;
-            metric = "overhead_1_pct";
-            baseline = "serial wall";
-            current = Printf.sprintf "%+.2f%%" o1;
-            allowed = Printf.sprintf "<= %.1f%%" par_overhead_max;
-          }
-          :: acc
-        else acc
-
-(* The latency block is structural first, like par; then split along
-   the determinism boundary.  The det sub-block is a fixed synthetic
-   stream through the production Qhist geometry — integer LCG + ldexp
-   only — so its counts and quantiles are compared *exactly* (the
-   floats survive the JSON round trip bit-for-bit via %.17g), even
-   under --ignore-wall: any drift is a real change in bucket indexing,
-   merge arithmetic or quantile interpolation.  The wall quantiles
-   p50_s / p99_s get the ordinary wall band. *)
-let check_latency ~ignore_wall acc (old_l : latency option)
-    (new_l : latency option) =
-  let where = "(latency)" in
-  match (old_l, new_l) with
-  | None, None -> acc
-  | Some _, None ->
-    structural ~where ~metric:"latency block" ~baseline:"present"
-      ~current:"missing" acc
-  | None, Some _ ->
-    structural ~where ~metric:"latency block"
-      ~baseline:"absent (refresh baseline)" ~current:"present" acc
-  | Some old_l, Some new_l ->
-    let exact_int metric acc old_v new_v =
-      if old_v = new_v then acc
-      else
-        {
-          where;
-          metric;
-          baseline = string_of_int old_v;
-          current = string_of_int new_v;
-          allowed = "exact";
-        }
-        :: acc
-    in
-    let exact_float metric acc old_v new_v =
-      if Float.equal old_v new_v then acc
-      else
-        {
-          where;
-          metric;
-          baseline = Printf.sprintf "%.17g" old_v;
-          current = Printf.sprintf "%.17g" new_v;
-          allowed = "exact (deterministic fingerprint)";
-        }
-        :: acc
-    in
-    let acc = exact_int "requests" acc old_l.requests new_l.requests in
-    let acc = exact_int "det.count" acc old_l.det_count new_l.det_count in
-    let acc =
-      exact_int "det.nonzero_buckets" acc old_l.det_nonzero new_l.det_nonzero
-    in
-    let acc = exact_float "det.p50" acc old_l.det_p50 new_l.det_p50 in
-    let acc = exact_float "det.p90" acc old_l.det_p90 new_l.det_p90 in
-    let acc = exact_float "det.p99" acc old_l.det_p99 new_l.det_p99 in
-    if ignore_wall then acc
-    else
-      let banded metric acc old_v new_v =
-        if rel_diff ~old_v ~new_v > latency_wall_tolerance
-           && Float.abs (new_v -. old_v) > latency_wall_floor
-        then
-          {
-            where;
-            metric;
-            baseline = Printf.sprintf "%.4fs" old_v;
-            current = Printf.sprintf "%.4fs" new_v;
-            allowed = Printf.sprintf "+-%.0f%%" (100.0 *. latency_wall_tolerance);
-          }
-          :: acc
-        else acc
-      in
-      let acc = banded "p50_s" acc old_l.p50_s new_l.p50_s in
-      banded "p99_s" acc old_l.p99_s new_l.p99_s
+        (match n.band.rule with
+        | Info -> None
+        | Exact allowed ->
+          if String.equal o.show n.show && Float.equal o.v n.v then None
+          else broken allowed
+        | Rel { tol; floor } ->
+          if d /. Float.max (Float.abs o.v) 1e-12 > tol && d > floor then
+            broken
+              (Printf.sprintf "%s+-%.0f%%"
+                 (if floor > 0.0 then "" else "exact or ")
+                 (100.0 *. tol))
+          else None
+        | Factor k ->
+          if n.v > (k *. o.v) +. 1e-9 then
+            broken (Printf.sprintf "<= %gx baseline" k)
+          else None
+        | Slack k ->
+          if n.v > o.v +. k then
+            broken (Printf.sprintf "<= baseline + %.1fpt" k)
+          else None
+        | Line { fails; note; allowed } ->
+          if fails n.v then broken ~baseline:note allowed else None))
+    new_rows
 
 let check ?(ignore_wall = false) ~(baseline : bench) ~(fresh : bench) () :
     violation list =
-  let acc =
-    if rel_diff ~old_v:baseline.scale ~new_v:fresh.scale > 1e-9 then
-      structural ~where:"(run)" ~metric:"scale"
-        ~baseline:(Printf.sprintf "%g" baseline.scale)
-        ~current:(Printf.sprintf "%g" fresh.scale)
-        []
-    else []
-  in
-  let find b id = List.find_opt (fun e -> String.equal e.id id) b.experiments in
-  let acc =
-    List.fold_left
-      (fun acc (old_e : experiment) ->
-        match find fresh old_e.id with
-        | Some new_e -> check_experiment ~ignore_wall acc old_e new_e
-        | None ->
-          structural ~where:old_e.id ~metric:"experiment" ~baseline:"present"
-            ~current:"missing" acc)
-      acc baseline.experiments
-  in
-  let acc =
-    List.fold_left
-      (fun acc (new_e : experiment) ->
-        match find baseline new_e.id with
-        | Some _ -> acc
-        | None ->
-          structural ~where:new_e.id ~metric:"experiment"
-            ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-      acc fresh.experiments
-  in
-  (* overhead bands are wall-derived: skipped with --ignore-wall just
-     like the experiment wall times *)
-  let acc =
-    if ignore_wall then acc
-    else
-      let acc =
-        List.fold_left
-          (fun acc (name, old_p) ->
-            match List.assoc_opt name fresh.overheads with
-            | None ->
-              structural ~where:"(overheads)" ~metric:name ~baseline:"present"
-                ~current:"missing" acc
-            | Some new_p ->
-              if new_p > old_p +. overhead_slack then
-                {
-                  where = "(overheads)";
-                  metric = name;
-                  baseline = Printf.sprintf "%.2f%%" old_p;
-                  current = Printf.sprintf "%.2f%%" new_p;
-                  allowed =
-                    Printf.sprintf "<= baseline + %.1fpt" overhead_slack;
-                }
-                :: acc
-              else acc)
-          acc baseline.overheads
-      in
-      List.fold_left
-        (fun acc (name, _) ->
-          if List.mem_assoc name baseline.overheads then acc
-          else
-            structural ~where:"(overheads)" ~metric:name
-              ~baseline:"absent (refresh baseline)" ~current:"present" acc)
-        acc fresh.overheads
-  in
-  let acc = check_par ~ignore_wall acc baseline.par fresh.par in
-  let acc = check_latency ~ignore_wall acc baseline.latency fresh.latency in
-  List.rev acc
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Machine-readable violation list for `bench_gate --json OUT`
-   (mirrors vmor_lint --json): a schema tag, the overall verdict and
-   one record per violated band, so CI can archive and diff gate
-   outcomes without scraping the table. *)
-let render_json (violations : violation list) : string =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"vmor.bench_gate/1\",\"ok\":%b,\"violations\":["
-       (violations = []));
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"where\":\"%s\",\"metric\":\"%s\",\"baseline\":\"%s\",\"current\":\"%s\",\"allowed\":\"%s\"}"
-           (json_escape v.where) (json_escape v.metric) (json_escape v.baseline)
-           (json_escape v.current) (json_escape v.allowed)))
-    violations;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let old_rows = rows baseline and new_rows = rows fresh in
+  presence old_rows new_rows @ compare_rows ~ignore_wall old_rows new_rows
 
 let render (violations : violation list) : string =
   let b = Buffer.create 1024 in

@@ -1,17 +1,14 @@
-(* Bench regression gate CLI (see gatecheck.ml for the tolerances):
+(* Bench regression gate CLI (see gatecheck.ml for the bands):
 
-     bench_gate [--ignore-wall] [--json OUT] baseline.json fresh.json
+     bench_gate [--ignore-wall] baseline.json fresh.json
 
    Exit 0 when every tolerance holds, 1 with a violation table when
    not, 2 on usage/IO errors. `dune build @gate` runs this against a
-   reduced-scale bench run; refresh the baseline by copying the fresh
-   bench.json over bench/baseline.json when a change is intentional.
-   --json additionally writes the violation list as machine-readable
-   JSON (schema vmor.bench_gate/1) to OUT, exit code unchanged. *)
+   reduced-scale bench run; refresh the baseline with the command in
+   bench/dune when a change is intentional. *)
 
 let usage () =
-  prerr_string
-    "usage: bench_gate [--ignore-wall] [--json OUT] BASELINE.json FRESH.json\n";
+  prerr_string "usage: bench_gate [--ignore-wall] BASELINE.json FRESH.json\n";
   exit 2
 
 let load path =
@@ -24,38 +21,13 @@ let load path =
     exit 2
 
 let () =
-  let ignore_wall = ref false and json_out = ref None in
-  let rec positional = function
-    | "--ignore-wall" :: rest ->
-      ignore_wall := true;
-      positional rest
-    | "--json" :: out :: rest ->
-      json_out := Some out;
-      positional rest
-    | [ "--json" ] -> usage ()
-    | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
-      usage ()
-    | rest -> rest
-  in
-  let baseline_path, fresh_path =
-    match positional (List.tl (Array.to_list Sys.argv)) with
-    | [ b; f ] -> (b, f)
+  let ignore_wall, baseline_path, fresh_path =
+    match List.tl (Array.to_list Sys.argv) with
+    | [ "--ignore-wall"; b; f ] -> (true, b, f)
+    | [ b; f ] when not (String.starts_with ~prefix:"--" b) -> (false, b, f)
     | _ -> usage ()
   in
   let baseline = load baseline_path and fresh = load fresh_path in
-  let violations =
-    Gatecheck.check ~ignore_wall:!ignore_wall ~baseline ~fresh ()
-  in
-  (match !json_out with
-  | None -> ()
-  | Some path ->
-    let oc =
-      try open_out path
-      with Sys_error m ->
-        Printf.eprintf "bench_gate: %s\n" m;
-        exit 2
-    in
-    output_string oc (Gatecheck.render_json violations);
-    close_out oc);
+  let violations = Gatecheck.check ~ignore_wall ~baseline ~fresh () in
   print_string (Gatecheck.render violations);
   if violations <> [] then exit 1
